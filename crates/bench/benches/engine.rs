@@ -1,12 +1,12 @@
 //! Compiled-engine microbenchmarks: gate kernels, channel application,
-//! and end-to-end job throughput — old (pre-engine reference) path vs
-//! the compiled-program engine.
+//! shot sampling, and end-to-end job throughput — old (pre-engine
+//! reference) path vs the compiled-program engine.
 //!
 //! The headline number is `job_throughput/*`: one 4-qubit VQE job at
 //! 8192 shots on a catalog backend, executed through
 //! `QpuBackend::with_legacy_execution` (per-job noise rebuild,
 //! per-operator clones, per-shot map inserts) versus the engine path
-//! (per-cycle noise cache, compiled tape, scratch buffers), versus the
+//! (per-cycle noise cache, compiled tape, in-place block kernels), versus the
 //! client-style template path (compile once, rebind per job). The
 //! engine must clear >= 2x over legacy; the template path adds more,
 //! and the folded shift-pair path (one shared-prefix evolution per
@@ -20,7 +20,7 @@ use qdevice::{
     catalog, Calibration, CompiledTemplate, DriftModel, QpuBackend, QueueModel, SimTime,
     TemplateRun,
 };
-use qsim::{gates, ChannelScratch, DensityMatrix, KrausChannel};
+use qsim::{gates, DensityMatrix, KrausChannel, ShotSampler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -74,19 +74,35 @@ fn bench_channel_application(c: &mut Criterion) {
     let ch2 = KrausChannel::depolarizing_2q(0.02);
     let mut rho = DensityMatrix::new(5);
     rho.apply_unitary_1q(&gates::h(), 0);
-    let mut scratch = ChannelScratch::new();
-    // Allocating (per-operator clone) form vs the scratch-buffer form.
-    group.bench_function("depol_1q_alloc", |b| {
-        b.iter(|| rho.apply_channel(&ch1, &[2]))
-    });
-    group.bench_function("depol_1q_buffered", |b| {
-        b.iter(|| rho.apply_channel_buffered(&ch1, &[2], &mut scratch))
-    });
-    group.bench_function("depol_2q_alloc", |b| {
+    group.bench_function("depol_1q_5q", |b| b.iter(|| rho.apply_channel(&ch1, &[2])));
+    group.bench_function("depol_2q_5q", |b| {
         b.iter(|| rho.apply_channel(&ch2, &[1, 3]))
     });
-    group.bench_function("depol_2q_buffered", |b| {
-        b.iter(|| rho.apply_channel_buffered(&ch2, &[1, 3], &mut scratch))
+    // The paper's 4-qubit register under the channel shapes the device
+    // layer emits: thermal relaxation then depolarizing (16 Kraus
+    // operators) on one qubit, and 2q depolarizing after a CX.
+    let thermal_depol = KrausChannel::thermal_relaxation(85_000.0, 65_000.0, 35.0)
+        .compose(&KrausChannel::depolarizing_1q(0.002));
+    let mut rho4 = DensityMatrix::new(4);
+    rho4.apply_unitary_1q(&gates::h(), 0);
+    rho4.apply_unitary_2q(&gates::cx(), 0, 1);
+    group.bench_function("thermal_depol_1q_4q", |b| {
+        b.iter(|| rho4.apply_channel(&thermal_depol, &[1]))
+    });
+    group.bench_function("depol_2q_4q", |b| {
+        b.iter(|| rho4.apply_channel(&ch2, &[0, 1]))
+    });
+    group.finish();
+}
+
+fn bench_sampling(c: &mut Criterion) {
+    // One 4-qubit job's readout: 8192 shots over 16 bins.
+    let mut group = c.benchmark_group("sampling");
+    let probs: Vec<f64> = (0..16).map(|i| 1.0 + (i % 5) as f64).collect();
+    let mut sampler = ShotSampler::new();
+    let mut rng = StdRng::seed_from_u64(3);
+    group.bench_function("sample_counts_8192_16bins", |b| {
+        b.iter(|| sampler.sample_counts(&probs, 4, 8192, &mut rng))
     });
     group.finish();
 }
@@ -188,6 +204,7 @@ criterion_group!(
     benches,
     bench_gate_kernels,
     bench_channel_application,
+    bench_sampling,
     bench_execute_density_paths,
     bench_job_throughput
 );

@@ -6,6 +6,38 @@
 //! workloads an exact density-matrix treatment is cheap (`4^n` entries) and
 //! — unlike per-shot Monte Carlo — deterministic given a seed only at the
 //! sampling step.
+//!
+//! # Kernels
+//!
+//! A gate or channel on `k` qubits only mixes entries within the
+//! `2^k x 2^k` blocks of `rho` that share every other row and column bit.
+//! Every kernel therefore walks those blocks once: it loads a 2x2 (1q) or
+//! 4x4 (2q) block, computes `U a U^dag` or `sum_k K_k a K_k^dag` on the
+//! copy, and stores the block back. The pass is in place, needs no
+//! matrix-sized scratch, and is partitioned over block rows, so the same
+//! code runs serially or fanned out over a [`ParallelCtx`] team.
+//!
+//! Operators with at most one nonzero per row (scaled Paulis, damping
+//! products, diagonal phases, CX/CZ/SWAP) cost one product chain per
+//! element; other operators take the dense `U a U^dag` product. Every
+//! Kraus operator of the channels in [`crate::noise`] is such a sparse
+//! operator with each entry real or imaginary. A channel made only of
+//! those, at most 16 of them, runs from a term list
+//! kept in a fixed-size stack array at four multiplies per element and
+//! term. Any other channel re-reads its operators per block, also
+//! without heap buffers.
+//!
+//! Exactness: unitary kernels perform, per element, the floating-point
+//! operations of the textbook two-pass evolution ([`baseline`]) on the
+//! operator's nonzero entries, in the same order. Channel terms may also
+//! skip products with an exact zero factor, which can change a term only
+//! by the sign of a zero. A channel accumulator starts at `+0.0` and can
+//! never become `-0.0` (a round-to-nearest sum is `-0.0` only when both
+//! addends are), so such a term leaves it bit-identical. Results
+//! therefore agree with [`baseline`] bit for bit up to the sign of zero,
+//! which no measurement probability or sampled count can observe. Any
+//! worker count gives byte-identical results: each element's arithmetic
+//! is independent of the partition.
 
 use crate::complex::C64;
 use crate::gates::Pauli;
@@ -35,7 +67,7 @@ fn gate_ctx(ctx: &ParallelCtx, dim: usize) -> &ParallelCtx {
 struct RowPtr(*mut C64);
 
 // SAFETY: all concurrent access goes through disjoint row partitions
-// (the caller's proof obligation on `row`/`at`).
+// (the caller's proof obligation on `row`).
 unsafe impl Sync for RowPtr {}
 
 impl RowPtr {
@@ -48,403 +80,313 @@ impl RowPtr {
     unsafe fn row<'a>(&self, r: usize, dim: usize) -> &'a mut [C64] {
         std::slice::from_raw_parts_mut(self.0.add(r * dim), dim)
     }
-
-    /// Mutable element at flat index `i`.
-    ///
-    /// # Safety
-    ///
-    /// `i` must be in bounds and its row not concurrently accessed.
-    #[inline(always)]
-    unsafe fn at<'a>(&self, i: usize) -> &'a mut C64 {
-        &mut *self.0.add(i)
-    }
-
-    /// Mutable view of the flat range `[i0, i0 + len)`.
-    ///
-    /// # Safety
-    ///
-    /// The range must be in bounds and not concurrently accessed.
-    #[inline(always)]
-    unsafe fn range<'a>(&self, i0: usize, len: usize) -> &'a mut [C64] {
-        std::slice::from_raw_parts_mut(self.0.add(i0), len)
-    }
 }
 
-/// Element-wise `dst += src`, partitioned over contiguous chunks (exact
-/// under any partition: each element is one independent add).
-fn accumulate(dst: &mut [C64], src: &[C64], ctx: &ParallelCtx) {
-    let len = dst.len();
-    let p = RowPtr(dst.as_mut_ptr());
-    ctx.run_chunks(len, |i0, i1| {
-        // SAFETY: chunks are disjoint.
-        let d = unsafe { p.range(i0, i1 - i0) };
-        for (x, s) in d.iter_mut().zip(&src[i0..i1]) {
-            *x += *s;
-        }
-    });
-}
-
-/// Rows of a small operator when every row has at most one nonzero
-/// entry: `rows[r] = Some((col, value))` or `None` for an all-zero row.
-///
-/// Every noise operator this workspace produces fits this shape —
-/// scaled Paulis (depolarizing), damping products (thermal relaxation),
-/// diagonal phases, CX/CZ/SWAP — and it admits an exact fast path: the
-/// dense row product `sum_j u[r][j] * a[j]` collapses to a single
-/// multiply. The skipped terms are all exact `0 * a[j]` products, so
-/// the only representable difference versus the dense kernel is the
-/// sign of exact zeros, which can never change a measurement
-/// probability or a sampled count.
-fn sparse_rows<const N: usize>(u: &CMatrix) -> Option<[Option<(usize, C64)>; N]> {
-    let mut rows = [None; N];
-    for (r, row) in rows.iter_mut().enumerate() {
-        for c in 0..N {
-            let z = u[(r, c)];
-            if z != C64::ZERO {
-                if row.is_some() {
-                    return None;
-                }
-                *row = Some((c, z));
-            }
-        }
-    }
-    Some(rows)
-}
-
-/// Expands a base-row index `k` (enumeration of rows with bit `q`
-/// clear) back to the row number: inserts a zero bit at position `q`.
-/// Enumeration order is ascending, matching the serial `0..dim` filter.
+/// Expands a base index `k` (enumeration of indices with bit `q`
+/// clear) back to the full index: inserts a zero bit at position `q`.
+/// Enumeration order is ascending.
 #[inline(always)]
 fn insert_bit(k: usize, q: usize) -> usize {
     ((k >> q) << (q + 1)) | (k & ((1usize << q) - 1))
 }
 
-/// Applies `rho -> U rho U^dag` for a 2x2 operator on qubit `q`, over
-/// raw row-major storage. Shared by [`DensityMatrix::apply_unitary_1q`]
-/// and the scratch-buffer channel path so their floating-point behavior
-/// is identical by construction.
+/// Most operators a channel may have to run from the on-stack term list
+/// (a thermal-relaxation-then-depolarizing 1q channel has 16, as does
+/// 2q depolarizing). Larger channels take the per-block re-read path.
+const MAX_STACK_TERMS: usize = 16;
+
+/// A block of `rho` as loaded by [`for_each_block`]: `N` entries as
+/// `[re, im]` parts, so a term can address either part by a flat offset.
+type Block<const N: usize> = [[f64; 2]; N];
+
+/// Entry `k` of a block as a complex number.
+#[inline(always)]
+fn entry<const N: usize>(a: &Block<N>, k: usize) -> C64 {
+    C64::new(a[k][0], a[k][1])
+}
+
+/// The nonzero entry of each row of a `B x B` operator with at most one
+/// nonzero per row: `(col[i], v[i])`, with `v[i] = 0` for an all-zero
+/// row. `None` when some row has two or more nonzero entries.
+fn sparse_rows<const B: usize>(u: &CMatrix) -> Option<([usize; B], [C64; B])> {
+    let mut col = [0usize; B];
+    let mut v = [C64::ZERO; B];
+    for r in 0..B {
+        for c in 0..B {
+            let z = u[(r, c)];
+            if z != C64::ZERO {
+                if v[r] != C64::ZERO {
+                    return None;
+                }
+                col[r] = c;
+                v[r] = z;
+            }
+        }
+    }
+    Some((col, v))
+}
+
+/// A sparse operator (see [`sparse_rows`]) laid out for `B x B` blocks
+/// of `N = B * B` entries: `src[i * B + j]` is the block position
+/// `col_i * B + col_j` that element `(i, j)` of `K a K^dag` reads.
+#[derive(Clone, Copy)]
+struct SparseOp<const B: usize, const N: usize> {
+    src: [u8; N],
+    v: [C64; B],
+}
+
+impl<const B: usize, const N: usize> SparseOp<B, N> {
+    fn parse(u: &CMatrix) -> Option<Self> {
+        let (col, v) = sparse_rows::<B>(u)?;
+        let src = std::array::from_fn(|k| (col[k / B] * B + col[k % B]) as u8);
+        Some(SparseOp { src, v })
+    }
+
+    /// `K a K^dag`, element `(i, j)` as the product chain
+    /// `(v_i * a[col_i][col_j]) * conj(v_j)`. An all-zero row makes its
+    /// elements exact `±0`.
+    #[inline(always)]
+    fn sandwich(&self, a: &Block<N>) -> [C64; N] {
+        std::array::from_fn(|k| {
+            let (i, j) = (k / B, k % B);
+            (self.v[i] * entry(a, self.src[k] as usize & (N - 1))) * self.v[j].conj()
+        })
+    }
+}
+
+/// A sparse Kraus operator whose nonzero entries are each real or
+/// imaginary, `v_i = r_i` or `v_i = i r_i` — every operator of the
+/// channels in [`crate::noise`] and of their compositions.
 ///
-/// Both passes partition over disjoint row sets (left: base-row pairs,
-/// right: single rows) with per-element arithmetic independent of the
-/// partition, so any worker count produces byte-identical results.
-fn kernel_1q(mat: &mut [C64], dim: usize, u: &CMatrix, q: usize, ctx: &ParallelCtx) {
-    if let Some(rows) = sparse_rows::<2>(u) {
-        return kernel_1q_sparse(mat, dim, &rows, q, ctx);
-    }
-    let ctx = gate_ctx(ctx, dim);
-    let bit = 1usize << q;
-    let (u00, u01, u10, u11) = (u[(0, 0)], u[(0, 1)], u[(1, 0)], u[(1, 1)]);
-    let p = RowPtr(mat.as_mut_ptr());
-    // Left multiply: rows mix in pairs. Row-major storage, so walk row
-    // pairs with contiguous inner slices (no per-element bounds checks).
-    ctx.run_chunks(dim / 2, |k0, k1| {
-        for k in k0..k1 {
-            let r = insert_bit(k, q);
-            // SAFETY: distinct base rows yield disjoint (r, r|bit) pairs.
-            let row0 = unsafe { p.row(r, dim) };
-            let row1 = unsafe { p.row(r | bit, dim) };
-            for (x0, x1) in row0.iter_mut().zip(row1.iter_mut()) {
-                let a0 = *x0;
-                let a1 = *x1;
-                *x0 = u00 * a0 + u01 * a1;
-                *x1 = u10 * a0 + u11 * a1;
-            }
-        }
-    });
-    // Right multiply by U^dag: columns mix with conjugated coefficients.
-    let (d00, d01, d10, d11) = (u00.conj(), u10.conj(), u01.conj(), u11.conj());
-    ctx.run_chunks(dim, |r0, r1| {
-        for r in r0..r1 {
-            // SAFETY: row chunks are disjoint.
-            let row = unsafe { p.row(r, dim) };
-            for c in 0..dim {
-                if c & bit == 0 {
-                    let c1 = c | bit;
-                    let a0 = row[c];
-                    let a1 = row[c1];
-                    row[c] = a0 * d00 + a1 * d10;
-                    row[c1] = a0 * d01 + a1 * d11;
-                }
-            }
-        }
-    });
+/// For such a term every cross product inside the complex chain
+/// [`SparseOp::sandwich`] multiplies by an exact zero, so each output
+/// part is one product `(a_part * r_i) * (±r_j)`, reading the other part
+/// of `a` when exactly one of `v_i`, `v_j` is imaginary. That is 4
+/// multiplies per element instead of 8 multiplies and 4 adds, and the
+/// value equals the full chain up to the sign of zero — invisible once
+/// added to a channel accumulator.
+#[derive(Clone, Copy)]
+struct PhaseTerm<const B: usize, const N: usize> {
+    r: [f64; B],
+    /// Flat part offsets `2 * position + part` the real and imaginary
+    /// output of each element reads.
+    at: [[u8; 2]; N],
+    /// The signed `±r_j` each element's real and imaginary output is
+    /// scaled by.
+    s: [[f64; 2]; N],
 }
 
-/// Sparse-operator fast path for [`kernel_1q`]: one multiply per
-/// element per pass instead of a full 2x2 product.
-fn kernel_1q_sparse(
-    mat: &mut [C64],
-    dim: usize,
-    rows: &[Option<(usize, C64)>; 2],
-    q: usize,
-    ctx: &ParallelCtx,
-) {
-    let ctx = gate_ctx(ctx, dim);
-    let bit = 1usize << q;
-    let p = RowPtr(mat.as_mut_ptr());
-    // Left multiply: new[r] = u[r][c_r] * a[c_r].
-    ctx.run_chunks(dim / 2, |k0, k1| {
-        for k in k0..k1 {
-            let r = insert_bit(k, q);
-            // SAFETY: distinct base rows yield disjoint (r, r|bit) pairs.
-            let row0 = unsafe { p.row(r, dim) };
-            let row1 = unsafe { p.row(r | bit, dim) };
-            for (x0, x1) in row0.iter_mut().zip(row1.iter_mut()) {
-                let a = [*x0, *x1];
-                *x0 = rows[0].map_or(C64::ZERO, |(c, v)| v * a[c]);
-                *x1 = rows[1].map_or(C64::ZERO, |(c, v)| v * a[c]);
-            }
-        }
-    });
-    // Right multiply by U^dag: new[j] = a[c_j] * conj(u[j][c_j]).
-    let d = [
-        rows[0].map(|(c, v)| (c, v.conj())),
-        rows[1].map(|(c, v)| (c, v.conj())),
-    ];
-    ctx.run_chunks(dim, |r0, r1| {
-        for r in r0..r1 {
-            // SAFETY: row chunks are disjoint.
-            let row = unsafe { p.row(r, dim) };
-            for c in 0..dim {
-                if c & bit == 0 {
-                    let c1 = c | bit;
-                    let a = [row[c], row[c1]];
-                    row[c] = d[0].map_or(C64::ZERO, |(i, v)| a[i] * v);
-                    row[c1] = d[1].map_or(C64::ZERO, |(i, v)| a[i] * v);
-                }
-            }
-        }
-    });
-}
-
-/// Applies `rho -> U rho U^dag` for a 4x4 operator on the pair
-/// `(q0, q1)` over raw storage (see [`kernel_1q`]). The 4x4 matrix is
-/// hoisted into locals once so the inner loops run on registers.
-fn kernel_2q(mat: &mut [C64], dim: usize, u: &CMatrix, q0: usize, q1: usize, ctx: &ParallelCtx) {
-    if let Some(rows) = sparse_rows::<4>(u) {
-        return kernel_2q_sparse(mat, dim, &rows, q0, q1, ctx);
-    }
-    let ctx = gate_ctx(ctx, dim);
-    let b0 = 1usize << q0;
-    let b1 = 1usize << q1;
-    let (qa, qb) = if q0 < q1 { (q0, q1) } else { (q1, q0) };
-    let mut m = [[C64::ZERO; 4]; 4];
-    for (r, row) in m.iter_mut().enumerate() {
-        for (c, entry) in row.iter_mut().enumerate() {
-            *entry = u[(r, c)];
-        }
-    }
-    let p = RowPtr(mat.as_mut_ptr());
-    // Left multiply U.
-    ctx.run_chunks(dim / 4, |k0, k1| {
-        for k in k0..k1 {
-            let r = insert_bit(insert_bit(k, qa), qb);
-            let idx = [r, r | b0, r | b1, r | b0 | b1];
-            for c in 0..dim {
-                // SAFETY: distinct base rows yield disjoint row quads.
-                let a = unsafe {
-                    [
-                        *p.at(idx[0] * dim + c),
-                        *p.at(idx[1] * dim + c),
-                        *p.at(idx[2] * dim + c),
-                        *p.at(idx[3] * dim + c),
-                    ]
-                };
-                for (row_i, &i) in idx.iter().enumerate() {
-                    let mi = &m[row_i];
-                    // SAFETY: as above.
-                    unsafe {
-                        *p.at(i * dim + c) =
-                            mi[0] * a[0] + mi[1] * a[1] + mi[2] * a[2] + mi[3] * a[3];
-                    }
-                }
-            }
-        }
-    });
-    // Right multiply U^dag: (rho U^dag)_{r j} = sum_i rho_{r i} conj(U_{j i}).
-    let mut md = [[C64::ZERO; 4]; 4];
-    for (j, row) in md.iter_mut().enumerate() {
-        for (i, entry) in row.iter_mut().enumerate() {
-            *entry = m[j][i].conj();
-        }
-    }
-    ctx.run_chunks(dim, |r0, r1| {
-        for r in r0..r1 {
-            // SAFETY: row chunks are disjoint.
-            let row = unsafe { p.row(r, dim) };
-            for c in 0..dim {
-                if c & b0 == 0 && c & b1 == 0 {
-                    let idx = [c, c | b0, c | b1, c | b0 | b1];
-                    let a = [row[idx[0]], row[idx[1]], row[idx[2]], row[idx[3]]];
-                    for (col_j, &j) in idx.iter().enumerate() {
-                        let dj = &md[col_j];
-                        row[j] = a[0] * dj[0] + a[1] * dj[1] + a[2] * dj[2] + a[3] * dj[3];
-                    }
-                }
-            }
-        }
-    });
-}
-
-/// Sparse-operator fast path for [`kernel_2q`] (see [`sparse_rows`]).
-fn kernel_2q_sparse(
-    mat: &mut [C64],
-    dim: usize,
-    rows: &[Option<(usize, C64)>; 4],
-    q0: usize,
-    q1: usize,
-    ctx: &ParallelCtx,
-) {
-    let ctx = gate_ctx(ctx, dim);
-    let b0 = 1usize << q0;
-    let b1 = 1usize << q1;
-    let (qa, qb) = if q0 < q1 { (q0, q1) } else { (q1, q0) };
-    let p = RowPtr(mat.as_mut_ptr());
-    // Left multiply: new[r] = u[r][c_r] * a[c_r].
-    ctx.run_chunks(dim / 4, |k0, k1| {
-        for k in k0..k1 {
-            let r = insert_bit(insert_bit(k, qa), qb);
-            let idx = [r, r | b0, r | b1, r | b0 | b1];
-            for c in 0..dim {
-                // SAFETY: distinct base rows yield disjoint row quads.
-                let a = unsafe {
-                    [
-                        *p.at(idx[0] * dim + c),
-                        *p.at(idx[1] * dim + c),
-                        *p.at(idx[2] * dim + c),
-                        *p.at(idx[3] * dim + c),
-                    ]
-                };
-                for (row_i, &i) in idx.iter().enumerate() {
-                    // SAFETY: as above.
-                    unsafe {
-                        *p.at(i * dim + c) = rows[row_i].map_or(C64::ZERO, |(j, v)| v * a[j]);
-                    }
-                }
-            }
-        }
-    });
-    // Right multiply by U^dag: new[j] = a[c_j] * conj(u[j][c_j]).
-    let d = [
-        rows[0].map(|(c, v)| (c, v.conj())),
-        rows[1].map(|(c, v)| (c, v.conj())),
-        rows[2].map(|(c, v)| (c, v.conj())),
-        rows[3].map(|(c, v)| (c, v.conj())),
-    ];
-    ctx.run_chunks(dim, |r0, r1| {
-        for r in r0..r1 {
-            // SAFETY: row chunks are disjoint.
-            let row = unsafe { p.row(r, dim) };
-            for c in 0..dim {
-                if c & b0 == 0 && c & b1 == 0 {
-                    let idx = [c, c | b0, c | b1, c | b0 | b1];
-                    let a = [row[idx[0]], row[idx[1]], row[idx[2]], row[idx[3]]];
-                    for (col_j, &j) in idx.iter().enumerate() {
-                        row[j] = d[col_j].map_or(C64::ZERO, |(i, v)| a[i] * v);
-                    }
-                }
-            }
-        }
-    });
-}
-
-/// Accumulates one *sparse* Kraus term `K rho K^dag` straight from the
-/// pre-channel state: with at most one nonzero per row of `K`, element
-/// `(r, c)` of the term is a single chain
-/// `(v_r * orig[src_r][src_c]) * conj(v_c)` — so the copy, left-pass,
-/// right-pass and accumulate sweeps of the buffered path fold into one
-/// output sweep. Per element the floating-point operations are exactly
-/// those of [`kernel_1q_sparse`] on a copy followed by `dst += term`
-/// (including the `0 * v` products of all-zero rows), so the result is
-/// bit-equal to that path.
-fn channel_term_1q_sparse(
-    dst: &mut [C64],
-    orig: &[C64],
-    dim: usize,
-    rows: &[Option<(usize, C64)>; 2],
-    q: usize,
-    ctx: &ParallelCtx,
-) {
-    let ctx = gate_ctx(ctx, dim);
-    let bit = 1usize << q;
-    let d = [
-        rows[0].map(|(c, v)| (c, v.conj())),
-        rows[1].map(|(c, v)| (c, v.conj())),
-    ];
-    let p = RowPtr(dst.as_mut_ptr());
-    ctx.run_chunks(dim, |r0, r1| {
-        for r in r0..r1 {
-            let r_base = r & !bit;
-            let left = rows[(r >> q) & 1];
-            // SAFETY: row chunks are disjoint.
-            let dst_row = unsafe { p.row(r, dim) };
-            for (c, x) in dst_row.iter_mut().enumerate() {
-                let val = match d[(c >> q) & 1] {
-                    None => C64::ZERO,
-                    Some((ci, vd)) => {
-                        let src_col = (c & !bit) | (ci << q);
-                        let inner = match left {
-                            None => C64::ZERO,
-                            Some((cl, vl)) => vl * orig[(r_base | (cl << q)) * dim + src_col],
-                        };
-                        inner * vd
-                    }
-                };
-                *x += val;
-            }
-        }
-    });
-}
-
-/// Two-qubit sibling of [`channel_term_1q_sparse`], bit-equal to
-/// [`kernel_2q_sparse`] on a copy followed by `dst += term`.
-fn channel_term_2q_sparse(
-    dst: &mut [C64],
-    orig: &[C64],
-    dim: usize,
-    rows: &[Option<(usize, C64)>; 4],
-    q0: usize,
-    q1: usize,
-    ctx: &ParallelCtx,
-) {
-    let ctx = gate_ctx(ctx, dim);
-    let b0 = 1usize << q0;
-    let b1 = 1usize << q1;
-    let mask = b0 | b1;
-    let d = [
-        rows[0].map(|(c, v)| (c, v.conj())),
-        rows[1].map(|(c, v)| (c, v.conj())),
-        rows[2].map(|(c, v)| (c, v.conj())),
-        rows[3].map(|(c, v)| (c, v.conj())),
-    ];
-    // Position `j` in a row quad `[i, i|b0, i|b1, i|b0|b1]` and back.
-    let loc = |i: usize| ((i >> q0) & 1) | (((i >> q1) & 1) << 1);
-    let sel = |base: usize, j: usize| {
-        base | (if j & 1 != 0 { b0 } else { 0 }) | (if j & 2 != 0 { b1 } else { 0 })
+impl<const B: usize, const N: usize> PhaseTerm<B, N> {
+    const ZERO: Self = PhaseTerm {
+        r: [0.0; B],
+        at: [[0; 2]; N],
+        s: [[0.0; 2]; N],
     };
-    let p = RowPtr(dst.as_mut_ptr());
-    ctx.run_chunks(dim, |r0, r1| {
-        for r in r0..r1 {
-            let r_base = r & !mask;
-            let left = rows[loc(r)];
-            // SAFETY: row chunks are disjoint.
-            let dst_row = unsafe { p.row(r, dim) };
-            for (c, x) in dst_row.iter_mut().enumerate() {
-                let val = match d[loc(c)] {
-                    None => C64::ZERO,
-                    Some((ci, vd)) => {
-                        let src_col = sel(c & !mask, ci);
-                        let inner = match left {
-                            None => C64::ZERO,
-                            Some((cl, vl)) => vl * orig[sel(r_base, cl) * dim + src_col],
-                        };
-                        inner * vd
-                    }
+
+    /// The real/imaginary form of `u`, or `None` when `u` is not sparse
+    /// or has an entry with both parts nonzero.
+    fn parse(u: &CMatrix) -> Option<Self> {
+        let (col, v) = sparse_rows::<B>(u)?;
+        let mut term = Self::ZERO;
+        let mut imag = [false; B];
+        for i in 0..B {
+            (term.r[i], imag[i]) = match (v[i].re, v[i].im) {
+                (re, 0.0) => (re, false),
+                (0.0, im) => (im, true),
+                _ => return None,
+            };
+        }
+        for i in 0..B {
+            for j in 0..B {
+                // (v_i a) conj(v_j) per (imag_i, imag_j), with
+                // X = a.re r_i and Y = a.im r_i:
+                //   (re, re): ( X r_j,  Y r_j)   (re, im): ( Y r_j, -X r_j)
+                //   (im, re): (-Y r_j,  X r_j)   (im, im): ( X r_j,  Y r_j)
+                let swap = usize::from(imag[i] != imag[j]);
+                let (sign_re, sign_im) = match (imag[i], imag[j]) {
+                    (false, true) => (1.0, -1.0),
+                    (true, false) => (-1.0, 1.0),
+                    _ => (1.0, 1.0),
                 };
-                *x += val;
+                let pos = 2 * (col[i] * B + col[j]);
+                let k = i * B + j;
+                term.at[k] = [(pos + swap) as u8, (pos + 1 - swap) as u8];
+                term.s[k] = [sign_re * term.r[j], sign_im * term.r[j]];
+            }
+        }
+        Some(term)
+    }
+
+    /// `out += K a K^dag`, element by element.
+    #[inline(always)]
+    fn accumulate(&self, a: &Block<N>, out: &mut [C64; N]) {
+        let parts = a.as_flattened();
+        for i in 0..B {
+            for j in 0..B {
+                let k = i * B + j;
+                let [at_re, at_im] = self.at[k];
+                let [s_re, s_im] = self.s[k];
+                out[k].re += (parts[at_re as usize & (2 * N - 1)] * self.r[i]) * s_re;
+                out[k].im += (parts[at_im as usize & (2 * N - 1)] * self.r[i]) * s_im;
+            }
+        }
+    }
+}
+
+/// Copies a `B x B` operator into a flat row-major array.
+fn hoist<const B: usize, const N: usize>(u: &CMatrix) -> [C64; N] {
+    std::array::from_fn(|k| u[(k / B, k % B)])
+}
+
+/// `m a m^dag` for a dense operator `m`: the left product `m a`, then
+/// the right product with `m^dag`, each row-by-column sum accumulated
+/// from its first term in index order.
+#[inline(always)]
+fn dense_sandwich<const B: usize, const N: usize>(m: &[C64; N], a: &Block<N>) -> [C64; N] {
+    let mut l = [C64::ZERO; N];
+    for i in 0..B {
+        for j in 0..B {
+            let mut s = m[i * B] * entry(a, j);
+            for k in 1..B {
+                s += m[i * B + k] * entry(a, k * B + j);
+            }
+            l[i * B + j] = s;
+        }
+    }
+    let mut out = [C64::ZERO; N];
+    for i in 0..B {
+        for j in 0..B {
+            let mut s = l[i * B] * m[j * B].conj();
+            for k in 1..B {
+                s += l[i * B + k] * m[j * B + k].conj();
+            }
+            out[i * B + j] = s;
+        }
+    }
+    out
+}
+
+/// Runs `f(block, out)` over every `B x B` block of the `dim x dim`
+/// row-major `mat` on the operand qubits `qs` (block index bit `b` is
+/// qubit `qs[b]`, so `B = 2^qs.len()` and `N = B * B`) and stores `out`
+/// in the block's place.
+///
+/// Blocks partition over base rows: each base row owns the `B` rows of
+/// its blocks, so workers touch disjoint rows and every element's
+/// arithmetic is independent of the partition.
+fn for_each_block<const B: usize, const N: usize>(
+    mat: &mut [C64],
+    dim: usize,
+    qs: &[usize],
+    ctx: &ParallelCtx,
+    f: impl Fn(&Block<N>, &mut [C64; N]) + Sync,
+) {
+    debug_assert!(B == 1 << qs.len() && N == B * B && mat.len() == dim * dim);
+    let mut offs = [0usize; B];
+    for (i, off) in offs.iter_mut().enumerate() {
+        for (b, &q) in qs.iter().enumerate() {
+            *off |= ((i >> b) & 1) << q;
+        }
+    }
+    let mut sorted = [0usize; 2];
+    let sorted = &mut sorted[..qs.len()];
+    sorted.copy_from_slice(qs);
+    sorted.sort_unstable();
+    let base = |k: usize| sorted.iter().fold(k, |k, &q| insert_bit(k, q));
+    let blocks = dim / B;
+    let p = RowPtr(mat.as_mut_ptr());
+    gate_ctx(ctx, dim).run_chunks(blocks, |k0, k1| {
+        let mut a = [[0.0; 2]; N];
+        let mut out = [C64::ZERO; N];
+        for k in k0..k1 {
+            let r = base(k);
+            // SAFETY: distinct base rows own disjoint row sets
+            // `{r | offs[i]}`, and chunks hold distinct base rows.
+            let mut rows: [&mut [C64]; B] =
+                std::array::from_fn(|i| unsafe { p.row(r | offs[i], dim) });
+            for kc in 0..blocks {
+                let c = base(kc);
+                for (i, row) in rows.iter().enumerate() {
+                    for j in 0..B {
+                        let z = row[c | offs[j]];
+                        a[i * B + j] = [z.re, z.im];
+                    }
+                }
+                f(&a, &mut out);
+                for (i, row) in rows.iter_mut().enumerate() {
+                    for j in 0..B {
+                        row[c | offs[j]] = out[i * B + j];
+                    }
+                }
             }
         }
     });
+}
+
+/// `rho -> U rho U^dag` for a `B x B` operator on `qs`.
+fn unitary_kernel<const B: usize, const N: usize>(
+    mat: &mut [C64],
+    dim: usize,
+    u: &CMatrix,
+    qs: &[usize],
+    ctx: &ParallelCtx,
+) {
+    match SparseOp::<B, N>::parse(u) {
+        Some(op) => for_each_block::<B, N>(mat, dim, qs, ctx, |a, out| *out = op.sandwich(a)),
+        None => {
+            let m = hoist::<B, N>(u);
+            for_each_block::<B, N>(mat, dim, qs, ctx, |a, out| {
+                *out = dense_sandwich::<B, N>(&m, a)
+            });
+        }
+    }
+}
+
+/// `rho -> sum_k K_k rho K_k^dag` for `B x B` Kraus operators on `qs`,
+/// accumulating the terms of each block in operator order from `+0`.
+fn channel_kernel<const B: usize, const N: usize>(
+    mat: &mut [C64],
+    dim: usize,
+    ops: &[CMatrix],
+    qs: &[usize],
+    ctx: &ParallelCtx,
+) {
+    let mut list = [PhaseTerm::<B, N>::ZERO; MAX_STACK_TERMS];
+    let listed = ops.len() <= MAX_STACK_TERMS
+        && ops
+            .iter()
+            .zip(&mut list)
+            .all(|(k, slot)| match PhaseTerm::parse(k) {
+                Some(term) => {
+                    *slot = term;
+                    true
+                }
+                None => false,
+            });
+    if listed {
+        let terms = &list[..ops.len()];
+        for_each_block::<B, N>(mat, dim, qs, ctx, |a, out| {
+            *out = [C64::ZERO; N];
+            for t in terms {
+                t.accumulate(a, out);
+            }
+        });
+    } else {
+        // Complex-phase, dense or oversized channels: re-read the
+        // operators per block.
+        for_each_block::<B, N>(mat, dim, qs, ctx, |a, out| {
+            *out = [C64::ZERO; N];
+            for k in ops {
+                let term = match SparseOp::<B, N>::parse(k) {
+                    Some(op) => op.sandwich(a),
+                    None => dense_sandwich::<B, N>(&hoist::<B, N>(k), a),
+                };
+                for (o, t) in out.iter_mut().zip(term) {
+                    *o += t;
+                }
+            }
+        });
+    }
 }
 
 /// The pre-optimization density kernels, preserved verbatim.
@@ -452,11 +394,10 @@ fn channel_term_2q_sparse(
 /// These are the implementations this module shipped before the engine
 /// layer landed: column-major iteration, a heap-allocated gather per
 /// two-qubit position, and a full state clone per Kraus operator. They
-/// compute the exact same floating-point results as the current
-/// kernels (element-wise the arithmetic is unchanged; only iteration
-/// order and allocation differ), so equivalence tests can demand
-/// byte-identical counts from both — and benchmarks can report an
-/// honest old-vs-new ratio. Never use these on a hot path.
+/// compute the same floating-point results as the block kernels up to
+/// the sign of zero (see the module docs), so equivalence tests can
+/// demand byte-identical counts from both — and benchmarks can report
+/// an honest old-vs-new ratio. Never use these on a hot path.
 pub mod baseline {
     use super::*;
 
@@ -577,23 +518,6 @@ pub mod baseline {
     }
 }
 
-/// Reusable scratch for [`DensityMatrix::apply_channel_buffered`]: two
-/// matrix-sized buffers that let a Kraus sum run without cloning the
-/// state per operator. One scratch serves states of any size (buffers
-/// grow on demand and are reused across jobs).
-#[derive(Clone, Debug, Default)]
-pub struct ChannelScratch {
-    orig: Vec<C64>,
-    term: Vec<C64>,
-}
-
-impl ChannelScratch {
-    /// Creates an empty scratch; buffers are sized on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// A mixed quantum state over `n` qubits, stored as a dense `2^n x 2^n`
 /// row-major matrix.
 ///
@@ -684,8 +608,8 @@ impl DensityMatrix {
     }
 
     /// [`DensityMatrix::apply_unitary_1q`] under an explicit
-    /// [`ParallelCtx`]: the two kernel passes partition over disjoint
-    /// row blocks, byte-identical to serial at any worker count.
+    /// [`ParallelCtx`]: the block pass partitions over disjoint block
+    /// rows, byte-identical to serial at any worker count.
     ///
     /// # Panics
     ///
@@ -694,7 +618,7 @@ impl DensityMatrix {
         assert!(q < self.n, "qubit {q} out of range");
         assert_eq!((u.rows(), u.cols()), (2, 2), "1q gate must be 2x2");
         let dim = self.dim();
-        kernel_1q(&mut self.mat, dim, u, q, ctx);
+        unitary_kernel::<2, 4>(&mut self.mat, dim, u, &[q], ctx);
     }
 
     /// Applies a 4x4 unitary to the ordered pair `(q0, q1)` in the
@@ -718,57 +642,34 @@ impl DensityMatrix {
         assert!(q0 < self.n && q1 < self.n, "qubit out of range");
         assert_eq!((u.rows(), u.cols()), (4, 4), "2q gate must be 4x4");
         let dim = self.dim();
-        kernel_2q(&mut self.mat, dim, u, q0, q1, ctx);
+        unitary_kernel::<4, 16>(&mut self.mat, dim, u, &[q0, q1], ctx);
     }
 
     /// Applies a Kraus channel to the listed qubits:
     /// `rho -> sum_k K_k rho K_k^dag`.
     ///
     /// One- and two-qubit channels are supported (matching every channel in
-    /// [`crate::noise`]). This convenience form allocates its scratch per
-    /// call; hot loops should hold a [`ChannelScratch`] and use
-    /// [`DensityMatrix::apply_channel_buffered`].
+    /// [`crate::noise`]). The block kernel runs in place and allocates
+    /// nothing.
     ///
     /// # Panics
     ///
     /// Panics if `qubits.len() != channel.num_qubits()` or arity is not 1
     /// or 2.
     pub fn apply_channel(&mut self, channel: &KrausChannel, qubits: &[usize]) {
-        let mut scratch = ChannelScratch::new();
-        self.apply_channel_buffered(channel, qubits, &mut scratch);
+        self.apply_channel_ctx(channel, qubits, &ParallelCtx::SERIAL);
     }
 
-    /// [`DensityMatrix::apply_channel`] through caller-owned scratch: the
-    /// Kraus sum accumulates via two reused buffers instead of cloning
-    /// the full matrix once per operator, and *sparse* Kraus operators
-    /// (every noise operator this workspace produces) skip the buffers
-    /// entirely — their term folds into a single accumulation sweep
-    /// straight from the pre-channel state. Bit-identical to the
-    /// allocating form.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`DensityMatrix::apply_channel`].
-    pub fn apply_channel_buffered(
-        &mut self,
-        channel: &KrausChannel,
-        qubits: &[usize],
-        scratch: &mut ChannelScratch,
-    ) {
-        self.apply_channel_buffered_ctx(channel, qubits, scratch, &ParallelCtx::SERIAL);
-    }
-
-    /// [`DensityMatrix::apply_channel_buffered`] under an explicit
+    /// [`DensityMatrix::apply_channel`] under an explicit
     /// [`ParallelCtx`] (see [`DensityMatrix::apply_unitary_1q_ctx`]).
     ///
     /// # Panics
     ///
     /// Same conditions as [`DensityMatrix::apply_channel`].
-    pub fn apply_channel_buffered_ctx(
+    pub fn apply_channel_ctx(
         &mut self,
         channel: &KrausChannel,
         qubits: &[usize],
-        scratch: &mut ChannelScratch,
         ctx: &ParallelCtx,
     ) {
         assert_eq!(
@@ -779,36 +680,15 @@ impl DensityMatrix {
         for &q in qubits {
             assert!(q < self.n, "qubit {q} out of range");
         }
-        if let [a, b] = *qubits {
-            assert!(a != b, "2q channel operands must differ");
-        }
         let dim = self.dim();
-        scratch.orig.clear();
-        scratch.orig.extend_from_slice(&self.mat);
-        for z in &mut self.mat {
-            *z = C64::ZERO;
-        }
-        for k in channel.operators() {
-            // Sparse operators accumulate in one fused sweep.
-            let fused = match *qubits {
-                [q] => sparse_rows::<2>(k).map(|rows| {
-                    channel_term_1q_sparse(&mut self.mat, &scratch.orig, dim, &rows, q, ctx);
-                }),
-                [q0, q1] => sparse_rows::<4>(k).map(|rows| {
-                    channel_term_2q_sparse(&mut self.mat, &scratch.orig, dim, &rows, q0, q1, ctx);
-                }),
-                _ => panic!("only 1- and 2-qubit channels are supported"),
-            };
-            if fused.is_none() {
-                scratch.term.clear();
-                scratch.term.extend_from_slice(&scratch.orig);
-                match *qubits {
-                    [q] => kernel_1q(&mut scratch.term, dim, k, q, ctx),
-                    [q0, q1] => kernel_2q(&mut scratch.term, dim, k, q0, q1, ctx),
-                    _ => unreachable!("arity checked above"),
-                }
-                accumulate(&mut self.mat, &scratch.term, gate_ctx(ctx, dim));
+        let ops = channel.operators();
+        match *qubits {
+            [_] => channel_kernel::<2, 4>(&mut self.mat, dim, ops, qubits, ctx),
+            [a, b] => {
+                assert!(a != b, "2q channel operands must differ");
+                channel_kernel::<4, 16>(&mut self.mat, dim, ops, qubits, ctx)
             }
+            _ => panic!("only 1- and 2-qubit channels are supported"),
         }
     }
 
@@ -1068,9 +948,23 @@ mod tests {
         assert!((rho.trace() - 1.0).abs() < 1e-12);
     }
 
+    /// `K -> V K V^dag` on every operator: a CPTP channel whose
+    /// operators are dense whenever `V` mixes the Pauli axes.
+    fn rotated(ch: &KrausChannel, v: &CMatrix) -> KrausChannel {
+        KrausChannel::new(
+            ch.operators()
+                .iter()
+                .map(|k| v.clone() * k.clone() * v.dagger())
+                .collect(),
+        )
+    }
+
     /// A small noisy workload touching every kernel: sparse and dense
-    /// 1q/2q unitaries plus sparse channels (including an all-zero
-    /// Kraus row via amplitude damping) and a dense unitary channel.
+    /// 1q/2q unitaries; sparse channels (including an all-zero Kraus
+    /// row via amplitude damping) from the on-stack term list, up to
+    /// its full 16-operator thermal-relaxation-then-depolarizing shape;
+    /// an oversized sparse channel; and dense and mixed dense/sparse
+    /// Kraus channels on both arities.
     fn drive(apply: &mut dyn FnMut(Step<'_>), n: usize) {
         let dense_2q = gates::h().kron(&gates::ry(0.7));
         for q in 0..n {
@@ -1083,10 +977,39 @@ mod tests {
         }
         apply(Step::Ch(&KrausChannel::amplitude_damping(0.2), &[0]));
         apply(Step::Ch(&KrausChannel::depolarizing_1q(0.05), &[n / 2]));
+        let thermal_depol = KrausChannel::thermal_relaxation(90.0, 70.0, 0.5)
+            .compose(&KrausChannel::depolarizing_1q(0.02));
+        assert_eq!(thermal_depol.operators().len(), MAX_STACK_TERMS);
+        apply(Step::Ch(&thermal_depol, &[n - 1]));
+        let oversized = thermal_depol.compose(&KrausChannel::bit_flip(0.1));
+        assert!(oversized.operators().len() > MAX_STACK_TERMS);
+        apply(Step::Ch(&oversized, &[0]));
+        // Rows mixing real and imaginary entries: `sqrt(p) S`.
+        let phase = KrausChannel::new(vec![
+            CMatrix::identity(2).scale(C64::from_real(0.9f64.sqrt())),
+            gates::s().scale(C64::from_real(0.1f64.sqrt())),
+        ]);
+        apply(Step::Ch(
+            &phase.compose(&KrausChannel::depolarizing_1q(0.1)),
+            &[n - 1],
+        ));
+        let dense_1q = rotated(&KrausChannel::depolarizing_1q(0.3), &gates::ry(0.7));
+        assert!(dense_1q.operators().len() > 1);
+        apply(Step::Ch(&dense_1q, &[n / 2]));
         if n >= 2 {
             apply(Step::Ch(&KrausChannel::depolarizing_2q(0.1), &[0, n - 1]));
             let dense_ch = KrausChannel::new(vec![gates::h().kron(&gates::h())]);
             apply(Step::Ch(&dense_ch, &[n - 1, 0]));
+            let phase_2q = KrausChannel::new(vec![
+                CMatrix::identity(4).scale(C64::from_real(0.8f64.sqrt())),
+                gates::s()
+                    .kron(&gates::x())
+                    .scale(C64::from_real(0.2f64.sqrt())),
+            ]);
+            apply(Step::Ch(&phase_2q, &[0, n - 1]));
+            let v = gates::ry(0.4).kron(&gates::rx(1.1));
+            let dense_2q_ch = rotated(&KrausChannel::depolarizing_2q(0.2), &v);
+            apply(Step::Ch(&dense_2q_ch, &[n / 2, 0]));
         }
     }
 
@@ -1102,8 +1025,6 @@ mod tests {
         for n in 1..=7 {
             let mut serial = DensityMatrix::new(n);
             let mut par = DensityMatrix::new(n);
-            let mut s_scratch = ChannelScratch::new();
-            let mut p_scratch = ChannelScratch::new();
             drive(
                 &mut |step| match step {
                     Step::U1(u, q) => {
@@ -1115,8 +1036,8 @@ mod tests {
                         par.apply_unitary_2q_ctx(u, a, b, &ctx);
                     }
                     Step::Ch(ch, qs) => {
-                        serial.apply_channel_buffered(ch, qs, &mut s_scratch);
-                        par.apply_channel_buffered_ctx(ch, qs, &mut p_scratch, &ctx);
+                        serial.apply_channel(ch, qs);
+                        par.apply_channel_ctx(ch, qs, &ctx);
                     }
                 },
                 n,
@@ -1135,7 +1056,6 @@ mod tests {
         for n in 1..=5 {
             let mut fast = DensityMatrix::new(n);
             let mut slow = DensityMatrix::new(n);
-            let mut scratch = ChannelScratch::new();
             drive(
                 &mut |step| match step {
                     Step::U1(u, q) => {
@@ -1147,16 +1067,19 @@ mod tests {
                         baseline::apply_unitary_2q(&mut slow, u, a, b);
                     }
                     Step::Ch(ch, qs) => {
-                        fast.apply_channel_buffered(ch, qs, &mut scratch);
+                        fast.apply_channel(ch, qs);
                         baseline::apply_channel(&mut slow, ch, qs);
                     }
                 },
                 n,
             );
-            assert!(
-                fast.matrix().approx_eq(&slow.matrix(), 1e-12),
-                "fused channel path diverges from baseline at {n} qubits"
-            );
+            // `==` on each part: bitwise up to the sign of zero.
+            for (a, b) in fast.mat.iter().zip(&slow.mat) {
+                assert!(
+                    a.re == b.re && a.im == b.im,
+                    "block kernels diverge from baseline at {n} qubits: {a:?} vs {b:?}"
+                );
+            }
             assert!((fast.trace() - 1.0).abs() < 1e-9);
         }
     }

@@ -65,7 +65,7 @@ pub mod sampler;
 pub mod statevector;
 
 pub use complex::C64;
-pub use density::{ChannelScratch, DensityMatrix};
+pub use density::DensityMatrix;
 pub use gates::Pauli;
 pub use matrix::CMatrix;
 pub use noise::KrausChannel;

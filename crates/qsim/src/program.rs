@@ -13,10 +13,10 @@
 //!   [`ProgramBuilder`] and replayed many times;
 //! * [`SimEngine`] — the engine abstraction: run a compiled program for
 //!   `shots` measurements;
-//! * [`DensityEngine`] — exact density-matrix evolution over reusable
-//!   scratch buffers: channels accumulate into scratch instead of cloning
-//!   per Kraus operator, and sampling writes a dense histogram instead of
-//!   one hash-map insert per shot;
+//! * [`DensityEngine`] — exact density-matrix evolution over a reusable
+//!   state: gates and channels run as in-place block kernels (no copy of
+//!   the state per Kraus operator), and sampling writes a dense histogram
+//!   instead of one hash-map insert per shot;
 //! * [`TrajectoryEngine`] — Monte-Carlo quantum-trajectory unraveling
 //!   that replays the tape per trajectory with a reusable candidate
 //!   buffer instead of cloning the state per Kraus operator.
@@ -49,7 +49,7 @@
 //! assert_eq!(counts.total(), 4096);
 //! ```
 
-use crate::density::{ChannelScratch, DensityMatrix};
+use crate::density::DensityMatrix;
 use crate::matrix::CMatrix;
 use crate::noise::KrausChannel;
 use crate::parallel::ParallelCtx;
@@ -430,18 +430,19 @@ pub trait SimEngine {
     fn run(&mut self, program: &CompiledProgram, shots: usize, rng: &mut dyn RngCore) -> Counts;
 }
 
-/// Exact density-matrix engine with reusable scratch buffers.
+/// Exact density-matrix engine with reusable buffers.
 ///
-/// Equivalent to evolving a fresh [`DensityMatrix`] per job, but:
-/// channel application accumulates through a persistent
-/// [`ChannelScratch`] (no per-Kraus-operator clones), probabilities and
-/// the sampling CDF live in reusable buffers, and counts are assembled
-/// from a dense histogram (no per-shot hash-map insert).
+/// Equivalent to evolving a fresh [`DensityMatrix`] per job, but: the
+/// state (and the fork snapshot of the shift-pair path) is reused
+/// across jobs, gates and channels run as in-place block kernels that
+/// hold their Kraus terms on the stack (see [`crate::density`]), so the
+/// engine keeps no per-channel scratch; probabilities and the sampling
+/// CDF live in reusable buffers, and counts are assembled from a dense
+/// histogram (no per-shot hash-map insert).
 #[derive(Clone, Debug, Default)]
 pub struct DensityEngine {
     rho: Option<DensityMatrix>,
     fork: Option<DensityMatrix>,
-    scratch: ChannelScratch,
     probs: Vec<f64>,
     sampler: ShotSampler,
     ctx: ParallelCtx,
@@ -488,18 +489,12 @@ impl DensityEngine {
                 TapeOp::Unitary2q { slot, q0, q1 } => {
                     rho.apply_unitary_2q_ctx(program.unitary(slot), q0, q1, &self.ctx)
                 }
-                TapeOp::Channel1q { channel, q } => rho.apply_channel_buffered_ctx(
-                    program.channel(channel),
-                    &[q],
-                    &mut self.scratch,
-                    &self.ctx,
-                ),
-                TapeOp::Channel2q { channel, q0, q1 } => rho.apply_channel_buffered_ctx(
-                    program.channel(channel),
-                    &[q0, q1],
-                    &mut self.scratch,
-                    &self.ctx,
-                ),
+                TapeOp::Channel1q { channel, q } => {
+                    rho.apply_channel_ctx(program.channel(channel), &[q], &self.ctx)
+                }
+                TapeOp::Channel2q { channel, q0, q1 } => {
+                    rho.apply_channel_ctx(program.channel(channel), &[q0, q1], &self.ctx)
+                }
             }
         }
     }

@@ -190,7 +190,7 @@ impl FromIterator<(u64, u64)> for Counts {
 }
 
 /// Draws `shots` basis-state indices from a probability distribution using
-/// inverse-CDF sampling with binary search.
+/// inverse-CDF sampling (see [`ShotSampler`] for the lookup).
 ///
 /// The distribution is normalized defensively (backend noise models can
 /// leave ~1e-12 trace drift).
@@ -214,7 +214,11 @@ pub fn sample_indices<R: Rng + ?Sized>(probs: &[f64], shots: usize, rng: &mut R)
 /// exactly the per-shot order of [`sample_indices`], so seeded results
 /// are byte-identical to the allocating path.
 ///
-/// Float comparisons use `total_cmp`, so unlike the historical
+/// Each needle is located by a branch-free count of the CDF entries
+/// below it when the CDF has at most 64 entries and a finite total, and
+/// by a binary search otherwise; both land on the same index, and a
+/// needle that equals a CDF entry exactly always takes the binary
+/// search. Float comparisons use `total_cmp`, so unlike the historical
 /// `partial_cmp(..).unwrap()` the binary search can neither panic nor
 /// silently scramble on a NaN needle. NaN *probabilities* are treated
 /// as zero mass (`p.max(0.0)` maps NaN to `0.0` when building the
@@ -267,14 +271,7 @@ impl ShotSampler {
         let acc = self.build_cdf(probs);
         out.clear();
         out.reserve(shots);
-        for _ in 0..shots {
-            let r: f64 = rng.gen::<f64>() * acc;
-            let idx = match self.cdf.binary_search_by(|x| x.total_cmp(&r)) {
-                Ok(i) => i,
-                Err(i) => i,
-            };
-            out.push(idx.min(probs.len() - 1));
-        }
+        draw(&self.cdf, acc, shots, rng, |idx| out.push(idx));
     }
 
     /// Samples a [`Counts`] histogram over `n_qubits` qubits, writing
@@ -300,15 +297,8 @@ impl ShotSampler {
         let acc = self.build_cdf(probs);
         self.hist.clear();
         self.hist.resize(probs.len(), 0);
-        let top = probs.len() - 1;
-        for _ in 0..shots {
-            let r: f64 = rng.gen::<f64>() * acc;
-            let idx = match self.cdf.binary_search_by(|x| x.total_cmp(&r)) {
-                Ok(i) => i,
-                Err(i) => i,
-            };
-            self.hist[idx.min(top)] += 1;
-        }
+        let hist = &mut self.hist;
+        draw(&self.cdf, acc, shots, rng, |idx| hist[idx] += 1);
         let distinct = self.hist.iter().filter(|&&c| c > 0).count();
         let mut counts = Counts::with_capacity(n_qubits, distinct);
         for (basis, &c) in self.hist.iter().enumerate() {
@@ -317,6 +307,62 @@ impl ShotSampler {
             }
         }
         counts
+    }
+}
+
+/// Draws `shots` needles against `cdf` (total mass `acc`) and hands
+/// each located basis index to `sink`, in shot order: the one draw loop
+/// behind [`ShotSampler::sample_indices_into`] and
+/// [`ShotSampler::sample_counts`].
+fn draw<R: Rng + ?Sized>(
+    cdf: &[f64],
+    acc: f64,
+    shots: usize,
+    rng: &mut R,
+    mut sink: impl FnMut(usize),
+) {
+    let top = cdf.len() - 1;
+    // A finite total keeps every needle and CDF entry finite and
+    // non-negative (never -0.0), where `x < r` is exactly
+    // `x.total_cmp(&r) == Less`.
+    let scan = acc.is_finite() && cdf.len() <= MAX_SCAN_CDF;
+    for _ in 0..shots {
+        let r: f64 = rng.gen::<f64>() * acc;
+        let idx = if scan {
+            scan_index(cdf, r)
+        } else {
+            search_index(cdf, r)
+        };
+        sink(idx.min(top));
+    }
+}
+
+/// Longest CDF located by a linear scan instead of a binary search (64
+/// entries: six qubits).
+const MAX_SCAN_CDF: usize = 64;
+
+/// Binary-search inverse-CDF lookup: the first index whose entry is not
+/// below `r` under `total_cmp` (or, on an exact hit, the entry
+/// `binary_search_by` lands on).
+#[inline]
+fn search_index(cdf: &[f64], r: f64) -> usize {
+    match cdf.binary_search_by(|x| x.total_cmp(&r)) {
+        Ok(i) | Err(i) => i,
+    }
+}
+
+/// Branch-free inverse-CDF lookup for short CDFs: counts the entries
+/// below `r`, which on a sorted, finite, non-negative CDF is the
+/// insertion point [`search_index`] returns. Only when `r` equals an
+/// entry exactly — where `binary_search_by` may land on any of a run of
+/// equal entries — does it defer to [`search_index`].
+#[inline]
+fn scan_index(cdf: &[f64], r: f64) -> usize {
+    let below = cdf.iter().map(|&x| usize::from(x < r)).sum::<usize>();
+    if cdf.get(below) == Some(&r) {
+        search_index(cdf, r)
+    } else {
+        below
     }
 }
 
@@ -510,6 +556,116 @@ mod tests {
         let a = sample_indices(&probs, 100, &mut StdRng::seed_from_u64(42));
         let b = sample_indices(&probs, 100, &mut StdRng::seed_from_u64(42));
         assert_eq!(a, b);
+    }
+
+    /// The lookup every shot used before the branch-free scan.
+    fn oracle_index(cdf: &[f64], r: f64) -> usize {
+        match cdf.binary_search_by(|x| x.total_cmp(&r)) {
+            Ok(i) | Err(i) => i,
+        }
+    }
+
+    /// A distribution over `n` qubits with every third bin empty (runs
+    /// of equal CDF entries), drawn from `seed`.
+    fn gappy_probs(n: usize, seed: u64) -> Vec<f64> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..1usize << n)
+            .map(|i| if i % 3 == 1 { 0.0 } else { rng.gen::<f64>() })
+            .collect()
+    }
+
+    /// Replays scripted `u64` words, so a test can pick the exact
+    /// uniform `gen::<f64>()` returns.
+    struct ScriptedRng(std::vec::IntoIter<u64>);
+
+    impl rand::RngCore for ScriptedRng {
+        fn next_u64(&mut self) -> u64 {
+            self.0.next().expect("script long enough")
+        }
+    }
+
+    /// The `u64` word for which `gen::<f64>()` returns exactly `u`
+    /// (a multiple of 2^-53 in `[0, 1)`).
+    fn word_for(u: f64) -> u64 {
+        ((u * (1u64 << 53) as f64) as u64) << 11
+    }
+
+    #[test]
+    fn scan_lookup_matches_binary_search_oracle() {
+        for n in 1..=7 {
+            let mut sampler = ShotSampler::new();
+            let acc = sampler.build_cdf(&gappy_probs(n, n as u64));
+            let cdf = sampler.cdf.clone();
+            let mut rng = StdRng::seed_from_u64(99);
+            let mut needles: Vec<f64> = (0..2000).map(|_| rng.gen::<f64>() * acc).collect();
+            for &c in &cdf {
+                needles.extend([c, c.next_down(), c.next_up()]);
+            }
+            needles.extend([0.0, acc]);
+            for r in needles {
+                assert_eq!(
+                    scan_index(&cdf, r),
+                    oracle_index(&cdf, r),
+                    "{n} qubits, needle {r}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn draws_match_binary_search_oracle() {
+        for n in 1..=7 {
+            let probs = gappy_probs(n, 10 + n as u64);
+            let mut sampler = ShotSampler::new();
+            let acc = sampler.build_cdf(&probs);
+            let cdf = sampler.cdf.clone();
+            let top = probs.len() - 1;
+            let mut rng = StdRng::seed_from_u64(5);
+            let expected: Vec<usize> = (0..4096)
+                .map(|_| oracle_index(&cdf, rng.gen::<f64>() * acc).min(top))
+                .collect();
+            let mut drawn = Vec::new();
+            sampler.sample_indices_into(&probs, 4096, &mut StdRng::seed_from_u64(5), &mut drawn);
+            assert_eq!(drawn, expected, "{n} qubits");
+            let counts = sampler.sample_counts(&probs, n, 4096, &mut StdRng::seed_from_u64(5));
+            for (basis, _) in probs.iter().enumerate() {
+                let want = expected.iter().filter(|&&i| i == basis).count() as u64;
+                assert_eq!(counts.get(basis as u64), want, "{n} qubits, basis {basis}");
+            }
+        }
+    }
+
+    #[test]
+    fn needles_on_exact_cdf_values_match_oracle() {
+        // Dyadic masses sum to exactly 1, so the needle `u * 1.0` can be
+        // scripted onto every CDF entry, including runs of equal entries
+        // behind zero-mass bins.
+        for n in 1..=7 {
+            let dim = 1usize << n;
+            let raw: Vec<f64> = (0..dim).map(|i| [2.0, 0.0, 1.0, 0.0, 0.0][i % 5]).collect();
+            let total: f64 = raw.iter().sum();
+            let scale = (total.log2().ceil()).exp2();
+            let mut probs: Vec<f64> = raw.iter().map(|p| p / scale).collect();
+            let slack = 1.0 - probs.iter().sum::<f64>();
+            probs[dim - 1] += slack;
+            let mut sampler = ShotSampler::new();
+            assert_eq!(sampler.build_cdf(&probs), 1.0);
+            let cdf = sampler.cdf.clone();
+            let needles: Vec<f64> = cdf.iter().copied().filter(|&c| c < 1.0).collect();
+            let script: Vec<u64> = needles.iter().map(|&c| word_for(c)).collect();
+            let mut drawn = Vec::new();
+            sampler.sample_indices_into(
+                &probs,
+                needles.len(),
+                &mut ScriptedRng(script.into_iter()),
+                &mut drawn,
+            );
+            let expected: Vec<usize> = needles
+                .iter()
+                .map(|&r| oracle_index(&cdf, r).min(dim - 1))
+                .collect();
+            assert_eq!(drawn, expected, "{n} qubits");
+        }
     }
 
     #[test]

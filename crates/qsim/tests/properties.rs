@@ -141,4 +141,68 @@ proptest! {
         // Trace is preserved by similarity.
         prop_assert!((eig.values[0] + eig.values[1] - (d0 + d1)).abs() < 1e-8);
     }
+
+    /// Every density kernel keeps the state physical: after random
+    /// sequences of sparse and dense unitaries and of stacked, dense and
+    /// mixed-phase channels on 1..=6 qubits, the trace is 1, the matrix
+    /// is Hermitian and the diagonal is non-negative, each to 1e-12.
+    #[test]
+    fn density_kernels_keep_states_physical(
+        n in 1usize..7,
+        steps in proptest::collection::vec((0usize..10, 0usize..64, 0usize..64, 0.0..1.0f64), 1..40),
+    ) {
+        let mut rho = DensityMatrix::new(n);
+        for (kind, a, b, p) in steps {
+            let (q0, q1) = (a % n, b % n);
+            let theta = (p - 0.5) * 14.0;
+            let pair = q0 != q1;
+            match kind {
+                0 => rho.apply_unitary_1q(&unitary_1q(theta, 3.0 * p, -theta), q0),
+                1 => rho.apply_unitary_1q(&gates::rz(theta), q0),
+                2 if pair => rho.apply_unitary_2q(&gates::cx(), q0, q1),
+                3 if pair => {
+                    let u = unitary_1q(theta, p, 1.0).kron(&gates::ry(theta));
+                    rho.apply_unitary_2q(&u, q0, q1);
+                }
+                4 => {
+                    let ch = KrausChannel::thermal_relaxation(80.0, 60.0, 40.0 * p)
+                        .compose(&KrausChannel::depolarizing_1q(p));
+                    rho.apply_channel(&ch, &[q0]);
+                }
+                5 => rho.apply_channel(&KrausChannel::amplitude_damping(p), &[q0]),
+                6 if pair => rho.apply_channel(&KrausChannel::depolarizing_2q(p), &[q0, q1]),
+                7 => {
+                    // Dense Kraus operators: a rotated depolarizing channel.
+                    let v = unitary_1q(theta, 1.0, p);
+                    let ops = KrausChannel::depolarizing_1q(p)
+                        .operators()
+                        .iter()
+                        .map(|k| v.clone() * k.clone() * v.dagger())
+                        .collect();
+                    rho.apply_channel(&KrausChannel::new(ops), &[q0]);
+                }
+                8 => {
+                    // Real and imaginary entries in one operator.
+                    let ch = KrausChannel::new(vec![
+                        CMatrix::identity(2).scale(C64::from_real((1.0 - p).sqrt())),
+                        gates::s().scale(C64::from_real(p.sqrt())),
+                    ]);
+                    rho.apply_channel(&ch, &[q0]);
+                }
+                _ => rho.apply_unitary_1q(&gates::h(), q0),
+            }
+        }
+        prop_assert!((rho.trace() - 1.0).abs() <= 1e-12, "trace {}", rho.trace());
+        let m = rho.matrix();
+        let dim = 1usize << n;
+        for r in 0..dim {
+            prop_assert!(m[(r, r)].re >= -1e-12, "diagonal {r}: {:?}", m[(r, r)]);
+            for c in 0..dim {
+                prop_assert!(
+                    m[(r, c)].approx_eq(m[(c, r)].conj(), 1e-12),
+                    "not Hermitian at ({}, {})", r, c
+                );
+            }
+        }
+    }
 }
