@@ -3,7 +3,7 @@
 //! The [`Executor`] trait is the framework's extension axis: an executor
 //! decides *where and in what order* the master's assignments run —
 //! deterministic virtual time, real OS threads, or a synchronous
-//! baseline — while [`MasterLoop`] owns the optimization semantics
+//! baseline — while [`MasterLoop`](crate::MasterLoop) owns the optimization semantics
 //! (cyclic schedule, gathers, weighted ASGD, staleness). Adding a future
 //! async / sharded / remote substrate is a new `impl Executor`, not a
 //! new trainer.
@@ -36,6 +36,7 @@
 
 use crate::ensemble::EnsembleSession;
 use crate::error::EqcError;
+use crate::fleet::{drive_session, DriveOn};
 use crate::master::Assignment;
 pub use crate::pool::PooledExecutor;
 use crate::report::TrainingReport;
@@ -107,7 +108,7 @@ impl Ord for Event {
 /// schedule. Same seed, same report — byte for byte.
 ///
 /// Since the multi-tenant fleet landed, this is a thin wrapper: the
-/// session rides the [`crate::fleet`] drive loop as a fleet of one
+/// session rides the [`crate::fleet`] stepper as a fleet of one
 /// tenant under the [`Unshared`](crate::policy::arbiter::Unshared)
 /// arbiter, which degenerates to exactly the historical
 /// prime/pop-earliest/absorb/re-dispatch loop.
@@ -124,16 +125,7 @@ impl DiscreteEventExecutor {
 impl Executor for DiscreteEventExecutor {
     fn run(&self, session: &mut EnsembleSession<'_>) -> Result<TrainingReport, EqcError> {
         session.begin()?;
-        let problem = session.problem();
-        let cfg = session.config();
-        let (clients, master) = session.split_mut();
-        let n = clients.len();
-        let mut lanes = [crate::fleet::Lane::single(
-            problem, cfg.shots, clients, master,
-        )];
-        crate::fleet::drive_des(&mut lanes, &crate::policy::arbiter::Unshared, n)?;
-        drop(lanes);
-        session.finish(format!("eqc[{n}]"))
+        drive_session(session, DriveOn::Inline)
     }
 }
 

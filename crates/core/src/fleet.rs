@@ -40,22 +40,32 @@
 //!
 //! ## Substrates
 //!
-//! [`FleetBuilder::pooled`] runs the same drive over the bounded
-//! worker pool ([`crate::pool`]'s sharded work-stealing run-queue,
-//! promoted here to the fleet's persistent substrate): tasks execute on
-//! worker threads while the coordinator absorbs them in the exact
-//! discrete-event total order via conservative queue-model lookahead —
-//! parallel wall-clock, byte-identical outcome.
+//! There is one stepper — activate arrivals, grant capacity, absorb the
+//! next event — and the substrate only changes three hooks around it:
+//!
+//! * **discrete-event** (the default): granted tasks run inline at
+//!   dispatch;
+//! * **shared** ([`FleetBuilder::shared`]): tasks run inline, but every
+//!   tenant's clone of device `d` books into one occupancy ledger per
+//!   physical device, the occupancy view is refreshed before each
+//!   decision, and contention-aware tenants pick *which* ready client a
+//!   grant dispatches;
+//! * **pooled** ([`FleetBuilder::pooled`]): granted tasks queue on a
+//!   bounded worker pool ([`crate::pool`]'s sharded work-stealing
+//!   run-queue), and the stepper absorbs an event only once
+//!   conservative queue-model lookahead proves no in-flight task can
+//!   precede it — parallel wall-clock, byte-identical outcome.
 //!
 //! ## Streaming
 //!
-//! Both substrates' drive loops are wrappers over one resumable
-//! *stepper* that also accepts tenant **arrivals** at future virtual
-//! times. The [`service`] submodule layers the always-on
-//! [`FleetService`](service::FleetService) on that seam: admissions
-//! land mid-run, each tenant retires the moment its last gather
-//! absorbs, and a run whose tenants all arrive at `t = 0` replays
-//! [`FleetRuntime::run`] byte for byte (pinned by tests).
+//! The stepper accepts tenant **arrivals** at future virtual times and
+//! keeps its clock across calls. The [`service`] submodule's always-on
+//! [`FleetService`] drives it directly: admissions
+//! land mid-run and each tenant retires the moment its last gather
+//! absorbs. [`FleetRuntime`] is a batch front over a per-batch service
+//! whose tenants all arrive at `t = 0`, so a streaming run with every
+//! arrival at zero replays [`FleetRuntime::run`] byte for byte (pinned
+//! by tests).
 //!
 //! ```
 //! use eqc_core::policy::arbiter::FairShare;
@@ -84,25 +94,24 @@
 pub mod service;
 
 use crate::client::ClientNode;
-use crate::config::{PoolConfig, ServiceConfig, TenantConfig};
-use crate::ensemble::{clients_for, probes_for, resolve_devices, Device, DeviceChoice};
+use crate::config::{ServiceConfig, TenantConfig};
+use crate::ensemble::{resolve_devices, Device, DeviceChoice, EnsembleSession};
 use crate::error::EqcError;
 use crate::executor::Event;
 use crate::master::{Assignment, MasterLoop};
-use crate::policy::arbiter::{ArbiterContext, FairShare, TenantArbiter, TenantLoad};
+use crate::policy::arbiter::{ArbiterContext, FairShare, TenantArbiter, TenantLoad, Unshared};
 use crate::policy::FleetOccupancy;
 use crate::pool::RunQueue;
 use crate::report::{
     DeviceOccupancy, FleetTelemetry, PoolTelemetry, TenantTelemetry, TrainingReport,
 };
-use qdevice::{DeviceQueue, LoadModel, QueueModel, QueueReadHandle, SharedNoiseCache, SimTime};
+use qdevice::{DeviceQueue, LoadModel, QueueModel, QueueReadHandle, SimTime};
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use vqa::VqaProblem;
 
 pub use service::{FleetService, ServiceOutcome, TenantHandle};
-
 /// Handle to one admitted tenant, valid for the next [`FleetRuntime::run`].
 ///
 /// The id carries the fleet's batch generation: indexing a
@@ -233,53 +242,28 @@ impl Substrate {
     }
 }
 
-/// One admitted tenant: its problem binding (clients transpiled per
-/// device), master state and arbiter-facing knobs. Owned by the fleet —
-/// the ownership inversion this module exists for.
-struct TenantSlot<'p> {
-    label: String,
-    problem: &'p dyn VqaProblem,
-    shots: usize,
-    weight: f64,
-    priority: i64,
-    deadline_h: Option<f64>,
-    clients: Vec<ClientNode>,
-    master: MasterLoop,
-}
-
 /// The long-lived multi-tenant runtime. Build with
 /// [`FleetRuntime::builder`], populate with [`FleetRuntime::admit`],
 /// drain with [`FleetRuntime::run`]. Devices persist across runs; each
 /// run consumes the tenants admitted since the previous one.
+///
+/// A batch front over [`FleetService`]: every tenant of a batch arrives
+/// at fleet time zero on a per-batch service, and [`FleetRuntime::run`]
+/// drains and collects it. Each batch gets a fresh fleet clock, fresh
+/// ledgers and fresh noise caches; the devices and the fleet-wide
+/// batched-job pipeline carry over.
 pub struct FleetRuntime<'p> {
-    devices: Vec<Device>,
-    arbiter: Arc<dyn TenantArbiter>,
-    substrate: Substrate,
-    tenants: Vec<TenantSlot<'p>>,
-    /// Tenant-batch generation, bumped by every [`FleetRuntime::run`];
-    /// stamped into issued [`TenantId`]s and outcomes so stale handles
-    /// are detected instead of misattributed.
-    batch: u64,
-    /// The fleet-wide batched-job pipeline, built lazily by the first
-    /// admitted tenant configured with
-    /// [`SimParallelism::Pipeline`](crate::SimParallelism::Pipeline)
-    /// and shared by every later pipeline tenant — cross-tenant jobs
-    /// interleave on the same lanes.
-    pipeline: Option<Arc<qsim::BatchPipeline>>,
-    /// Whether co-tenant clones of one physical device share a noise
-    /// cache (the default) or each keep a private one (the equivalence
-    /// toggle behind [`FleetBuilder::without_noise_sharing`]).
-    share_noise: bool,
+    service: FleetService<'p>,
 }
 
 impl std::fmt::Debug for FleetRuntime<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FleetRuntime")
-            .field("devices", &self.devices.len())
-            .field("arbiter", &self.arbiter.name())
-            .field("substrate", &self.substrate)
-            .field("tenants", &self.tenants.len())
-            .field("batch", &self.batch)
+            .field("devices", &self.num_devices())
+            .field("arbiter", &self.arbiter_name())
+            .field("substrate", &self.service.substrate)
+            .field("tenants", &self.num_tenants())
+            .field("batch", &self.service.batch)
             .finish()
     }
 }
@@ -298,17 +282,17 @@ impl<'p> FleetRuntime<'p> {
 
     /// Devices in the shared pool (= concurrent-task slots).
     pub fn num_devices(&self) -> usize {
-        self.devices.len()
+        self.service.num_devices()
     }
 
     /// Tenants admitted and waiting for the next run.
     pub fn num_tenants(&self) -> usize {
-        self.tenants.len()
+        self.service.num_pending()
     }
 
     /// The arbiter policy's name.
     pub fn arbiter_name(&self) -> &'static str {
-        self.arbiter.name()
+        self.service.arbiter_name()
     }
 
     /// Admits a tenant: transpiles the problem's templates for every
@@ -327,42 +311,9 @@ impl<'p> FleetRuntime<'p> {
         problem: &'p dyn VqaProblem,
         tenant: TenantConfig,
     ) -> Result<TenantId, EqcError> {
-        tenant.validate()?;
-        if problem.num_params() == 0 || problem.tasks().is_empty() {
-            return Err(EqcError::EmptyProblem(problem.name()));
-        }
-        let par = tenant.config.sim_parallelism.build_ctx();
-        let pipeline = tenant
-            .config
-            .sim_parallelism
-            .build_pipeline()
-            .map(|built| self.pipeline.get_or_insert(built).clone());
-        let clients = clients_for(&self.devices, problem, &par, pipeline.as_ref())?;
-        let probes = probes_for(&tenant.policies, &clients);
-        let master = MasterLoop::new(
-            problem,
-            tenant.config,
-            tenant.policies,
-            clients.len(),
-            probes,
-        );
-        let id = TenantId {
-            index: self.tenants.len(),
-            batch: self.batch,
-        };
-        self.tenants.push(TenantSlot {
-            label: tenant
-                .label
-                .unwrap_or_else(|| format!("tenant{}", id.index())),
-            problem,
-            shots: tenant.config.shots,
-            weight: tenant.weight,
-            priority: tenant.priority,
-            deadline_h: tenant.deadline_h,
-            clients,
-            master,
-        });
-        Ok(id)
+        self.service
+            .admit_at(problem, tenant, 0.0)
+            .map(TenantHandle::id)
     }
 
     /// Drives every admitted tenant to completion, multiplexing fleet
@@ -376,154 +327,12 @@ impl<'p> FleetRuntime<'p> {
     /// [`EqcError::Internal`] if the drive or the pooled substrate
     /// fails.
     pub fn run(&mut self) -> Result<FleetOutcome, EqcError> {
-        if self.tenants.is_empty() {
+        if self.service.num_pending() == 0 {
             return Err(EqcError::NoTenants);
         }
-        let slots = self.devices.len();
-        let batch = self.batch;
-        self.batch += 1;
-        let mut tenants = std::mem::take(&mut self.tenants);
-        // Cross-tenant noise/compile sharing: one value-keyed cache per
-        // physical device slot, attached to every tenant's clone of that
-        // slot, so each (device, calibration-cycle) noise projection is
-        // built once fleet-wide. Clones share seed, base calibration and
-        // drift, so the shared artifacts are bit-identical to per-clone
-        // builds. `without_noise_sharing` routes the same code path
-        // through a private cache per clone instead, making both build
-        // granularities observable through the same counters.
-        let mut noise_caches: Vec<Arc<SharedNoiseCache>> = Vec::new();
-        if self.share_noise {
-            noise_caches.extend((0..slots).map(|_| Arc::new(SharedNoiseCache::default())));
-            for tenant in tenants.iter_mut() {
-                for (d, client) in tenant.clients.iter_mut().enumerate() {
-                    client
-                        .backend_mut()
-                        .attach_shared_noise(Arc::clone(&noise_caches[d]));
-                }
-            }
-        } else {
-            for tenant in tenants.iter_mut() {
-                for client in tenant.clients.iter_mut() {
-                    let cache = Arc::new(SharedNoiseCache::default());
-                    client.backend_mut().attach_shared_noise(Arc::clone(&cache));
-                    noise_caches.push(cache);
-                }
-            }
-        }
-        let mut lanes: Vec<Lane<'_, 'p>> = tenants
-            .iter_mut()
-            .map(|t| {
-                let TenantSlot {
-                    problem,
-                    shots,
-                    weight,
-                    priority,
-                    deadline_h,
-                    clients,
-                    master,
-                    ..
-                } = t;
-                Lane::new(*problem, *shots, clients, master, *weight, *priority)
-                    .with_deadline(*deadline_h)
-            })
-            .collect();
-        // Ledgers are built fresh per run: device state persists across
-        // runs only through the [`Device`] pool, so identical admissions
-        // replay identically (pinned by `fleet_is_reusable_across_runs`).
-        let shared_ledgers = match self.substrate {
-            Substrate::Shared { load } => Some(ledgers_for(&self.devices, load)?),
-            _ => None,
-        };
-        let (driven, pool) = match self.substrate {
-            Substrate::DiscreteEvent => (drive_des(&mut lanes, self.arbiter.as_ref(), slots), None),
-            Substrate::Shared { .. } => (
-                drive_shared(
-                    &mut lanes,
-                    self.arbiter.as_ref(),
-                    slots,
-                    shared_ledgers.as_deref().expect("ledgers built above"),
-                ),
-                None,
-            ),
-            Substrate::Pooled { workers } => {
-                let total = lanes.iter().map(|l| l.clients.len()).sum();
-                let resolved = PoolConfig {
-                    workers,
-                    deterministic: true,
-                }
-                .resolved_workers(total);
-                let (d, telemetry) =
-                    drive_pooled(&mut lanes, self.arbiter.as_ref(), slots, resolved);
-                (d, Some(telemetry))
-            }
-        };
-        drop(lanes);
-        for tenant in tenants.iter_mut() {
-            for client in tenant.clients.iter_mut() {
-                client.backend_mut().detach_shared_noise();
-            }
-        }
-        let shared_noise_builds: u64 = noise_caches.iter().map(|c| c.builds()).sum();
-        let shared_noise_hits: u64 = noise_caches.iter().map(|c| c.hits()).sum();
-        let stats = driven?;
-
-        let mut reports = Vec::with_capacity(tenants.len());
-        let mut per_tenant = Vec::with_capacity(tenants.len());
-        for (i, (tenant, counters)) in tenants.iter().zip(stats.lanes).enumerate() {
-            let report = tenant.master.report(
-                tenant.problem,
-                format!("eqc[{}]", tenant.clients.len()),
-                &tenant.clients,
-            )?;
-            per_tenant.push(TenantTelemetry {
-                tenant: i,
-                label: tenant.label.clone(),
-                weight: tenant.weight,
-                priority: tenant.priority,
-                results_absorbed: counters.results_absorbed,
-                epochs: report.epochs,
-                virtual_hours: report.total_hours,
-                epochs_per_hour: report.epochs_per_hour(),
-                wait_virtual_hours: counters.wait_virtual_hours,
-                wait_rounds: counters.wait_rounds,
-                starved_rounds: counters.starved_rounds,
-                client_share: counters.client_share,
-                queue_wait_hours: queue_wait_hours(&tenant.clients),
-            });
-            reports.push(report);
-        }
-        let occupancy = match &shared_ledgers {
-            Some(ledgers) => {
-                // Per-device queue-wait across tenants, summed in
-                // admission order (a deterministic f64 reduction order).
-                let queued_s: Vec<f64> = (0..slots)
-                    .map(|d| {
-                        tenants
-                            .iter()
-                            .map(|t| t.clients[d].backend().queued_seconds())
-                            .sum()
-                    })
-                    .collect();
-                occupancy_rows(&self.devices, ledgers, &queued_s)?
-            }
-            None => Vec::new(),
-        };
-        Ok(FleetOutcome {
-            reports,
-            telemetry: FleetTelemetry {
-                arbiter: self.arbiter.name().to_string(),
-                devices: slots,
-                grant_rounds: stats.grant_rounds,
-                tenants: per_tenant,
-                occupancy,
-                snapshot_rebuilds: stats.snapshot_rebuilds,
-                snapshot_reuses: stats.snapshot_reuses,
-                shared_noise_builds,
-                shared_noise_hits,
-            },
-            pool,
-            batch,
-        })
+        let outcome = self.service.drain().and_then(|_| self.service.collect());
+        self.service.next_batch();
+        outcome.map(|o| o.fleet)
     }
 }
 
@@ -667,15 +476,8 @@ impl FleetBuilder {
     /// [`EqcError::InvalidConfig`] for a zero pooled worker count or a
     /// malformed shared-substrate load generator.
     pub fn build<'p>(self) -> Result<FleetRuntime<'p>, EqcError> {
-        self.substrate.validate()?;
         Ok(FleetRuntime {
-            devices: resolve_devices(self.devices, self.device_seed)?,
-            arbiter: self.arbiter,
-            substrate: self.substrate,
-            tenants: Vec::new(),
-            batch: 0,
-            pipeline: None,
-            share_noise: self.share_noise,
+            service: self.service()?,
         })
     }
 
@@ -729,16 +531,6 @@ pub(crate) struct LaneCounters {
     pub(crate) client_share: Vec<u64>,
 }
 
-/// What a fleet drive reports back besides the lanes' master state.
-pub(crate) struct DriveStats {
-    pub(crate) grant_rounds: u64,
-    pub(crate) lanes: Vec<LaneCounters>,
-    /// Per-device occupancy refreshes performed / skipped by the shared
-    /// drive's incremental tracker (zero off the shared substrate).
-    pub(crate) snapshot_rebuilds: u64,
-    pub(crate) snapshot_reuses: u64,
-}
-
 /// One tenant's lane through a fleet drive: the session halves
 /// (clients + master) plus the drive-local event heap, ready queue and
 /// in-flight accounting. The single-session executors build a lane
@@ -771,21 +563,21 @@ pub(crate) struct Lane<'a, 'p> {
 }
 
 impl<'a, 'p> Lane<'a, 'p> {
-    /// Builds a lane over a session's halves with arbiter knobs.
+    /// Builds a lane over a session's halves: weight 1, priority 0, no
+    /// deadline, arriving at fleet time zero (the single-session case;
+    /// the service overrides the knobs per tenant).
     pub(crate) fn new(
         problem: &'p dyn VqaProblem,
         shots: usize,
         clients: &'a mut Vec<ClientNode>,
         master: &'a mut MasterLoop,
-        weight: f64,
-        priority: i64,
     ) -> Self {
         let n = clients.len();
         Lane {
             problem,
             shots,
-            weight,
-            priority,
+            weight: 1.0,
+            priority: 0,
             deadline_h: None,
             offset_s: 0.0,
             arrived: false,
@@ -800,30 +592,6 @@ impl<'a, 'p> Lane<'a, 'p> {
                 ..LaneCounters::default()
             },
         }
-    }
-
-    /// A single-session lane (the executor-wrapper case): weight 1,
-    /// priority 0 — irrelevant under [`Unshared`].
-    pub(crate) fn single(
-        problem: &'p dyn VqaProblem,
-        shots: usize,
-        clients: &'a mut Vec<ClientNode>,
-        master: &'a mut MasterLoop,
-    ) -> Self {
-        Lane::new(problem, shots, clients, master, 1.0, 0)
-    }
-
-    /// Builder-style deadline budget for the arbiter's SLO view.
-    pub(crate) fn with_deadline(mut self, deadline_h: Option<f64>) -> Self {
-        self.deadline_h = deadline_h;
-        self
-    }
-
-    /// Builder-style arrival offset on the fleet clock (virtual
-    /// seconds).
-    pub(crate) fn arriving_at(mut self, offset_s: f64) -> Self {
-        self.offset_s = offset_s;
-        self
     }
 
     /// Processes the lane's arrival: queues its initial
@@ -863,45 +631,45 @@ impl<'a, 'p> Lane<'a, 'p> {
         Ok((a, submit))
     }
 
-    /// Inline (discrete-event) dispatch: run the task now, queue its
-    /// completion event. Returns the event's local completion time so
-    /// the caller can index it.
-    fn dispatch_inline(&mut self, r: ReadyClient, round: u64) -> Result<SimTime, EqcError> {
-        let (a, submit) = self.take_assignment(&r, round)?;
-        let result =
-            self.clients[r.client].run_task(self.problem, a.task, &a.params, self.shots, submit);
-        let completed = result.completed;
-        self.heap.push(Event {
-            completed,
-            client: r.client,
-            result,
-            cycle: a.cycle,
-            dispatched_at_update: a.dispatched_at_update,
-        });
-        Ok(completed)
-    }
-
-    /// Marks every client the master wants dispatched after absorbing
-    /// `freed`'s result as ready for the given grant round.
-    fn enqueue_dispatches(&mut self, freed: usize, round: u64) -> Result<(), EqcError> {
-        let now_h = self.master.now().as_hours();
-        for client in self.master.dispatch_order(freed)? {
-            self.ready.push_back(ReadyClient {
-                client,
-                enqueued_hours: now_h,
-                enqueued_round: round,
-            });
+    /// Absorbs the lane's earliest event and queues the follow-up
+    /// dispatches (the freed client plus any re-admissions) for grant
+    /// round `round`. Returns the absorbed event's local completion
+    /// time.
+    fn absorb_next(&mut self, round: u64) -> Result<SimTime, EqcError> {
+        let ev = self.heap.pop().expect("the head index implies a head");
+        self.in_flight -= 1;
+        self.master.absorb(
+            ev.client,
+            ev.cycle,
+            ev.dispatched_at_update,
+            &ev.result,
+            self.problem,
+        )?;
+        self.counters.results_absorbed += 1;
+        if self.master.is_complete() {
+            self.done = true;
+            self.ready.clear();
+            self.heap.clear();
+        } else {
+            let now_h = self.master.now().as_hours();
+            for client in self.master.dispatch_order(ev.client)? {
+                self.ready.push_back(ReadyClient {
+                    client,
+                    enqueued_hours: now_h,
+                    enqueued_round: round,
+                });
+            }
         }
-        Ok(())
+        Ok(ev.completed)
     }
 }
 
 /// Reusable per-round grant buffers: the arbiter's load snapshot and
-/// the shared grant loop's sorted candidate list. One instance lives
-/// for a whole drive, so the steady state of every grant round is
+/// the pick branch's sorted candidate list. One instance lives for a
+/// whole drive, so the steady state of every grant round is
 /// allocation-free.
 #[derive(Debug, Default)]
-pub(crate) struct GrantScratch {
+struct GrantScratch {
     loads: Vec<TenantLoad>,
     candidates: Vec<usize>,
 }
@@ -936,7 +704,7 @@ fn fill_loads(lanes: &[Lane<'_, '_>], loads: &mut Vec<TenantLoad>) {
 /// lane index — so the pick is deterministic. With every offset zero
 /// (the batch case) this coincides with the local-time order.
 ///
-/// Kept as the from-scratch oracle the [`HeadIndex`] (the steppers' hot
+/// Kept as the from-scratch oracle the [`HeadIndex`] (the stepper's hot
 /// path) is pinned against.
 #[cfg(test)]
 fn next_lane(lanes: &[Lane<'_, '_>]) -> Option<usize> {
@@ -952,7 +720,6 @@ fn next_lane(lanes: &[Lane<'_, '_>]) -> Option<usize> {
         .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
         .map(|(t, _)| t)
 }
-
 /// Maps a global time onto the unsigned key whose `<` is exactly
 /// [`f64::total_cmp`] (sign-flip trick: negatives reverse, positives
 /// shift above them).
@@ -1050,99 +817,9 @@ impl HeadIndex {
     }
 }
 
-/// Absorbs lane `t`'s earliest event and queues the follow-up
-/// dispatches (the freed client plus any re-admissions) for grant round
-/// `round`. Returns the absorbed event's local completion time.
-fn absorb_next(lanes: &mut [Lane<'_, '_>], t: usize, round: u64) -> Result<SimTime, EqcError> {
-    let lane = &mut lanes[t];
-    let ev = lane.heap.pop().expect("next_lane implies a head");
-    let completed = ev.completed;
-    lane.in_flight -= 1;
-    lane.master.absorb(
-        ev.client,
-        ev.cycle,
-        ev.dispatched_at_update,
-        &ev.result,
-        lane.problem,
-    )?;
-    lane.counters.results_absorbed += 1;
-    if lane.master.is_complete() {
-        lane.done = true;
-        lane.ready.clear();
-        lane.heap.clear();
-    } else {
-        lane.enqueue_dispatches(ev.client, round)?;
-    }
-    Ok(completed)
-}
-
-/// One arbiter grant round, shared verbatim by both substrates (the
-/// pooled drive's byte-for-byte replay of the discrete-event fleet
-/// depends on the allocation, cap loop and starvation accounting being
-/// *one* implementation): allocate capacity, dispatch ready clients up
-/// to each lane's cap via the substrate's `dispatch`, and account
-/// starvation (pending work, nothing running, nothing granted).
-fn grant_round(
-    lanes: &mut [Lane<'_, '_>],
-    arbiter: &dyn TenantArbiter,
-    slots: usize,
-    round: u64,
-    scratch: &mut GrantScratch,
-    mut dispatch: impl FnMut(&mut Lane<'_, '_>, usize, ReadyClient, u64) -> Result<(), EqcError>,
-) -> Result<(), EqcError> {
-    fill_loads(lanes, &mut scratch.loads);
-    let caps = arbiter.allocate(&ArbiterContext {
-        loads: &scratch.loads,
-        total_slots: slots,
-        round,
-    });
-    for (t, lane) in lanes.iter_mut().enumerate() {
-        if lane.done || !lane.arrived {
-            continue;
-        }
-        let cap = caps.get(t).copied().unwrap_or(0);
-        let mut granted = 0usize;
-        while lane.in_flight < cap {
-            let Some(r) = lane.ready.pop_front() else {
-                break;
-            };
-            dispatch(lane, t, r, round)?;
-            granted += 1;
-        }
-        if granted == 0 && lane.in_flight == 0 && !lane.ready.is_empty() {
-            lane.counters.starved_rounds += 1;
-        }
-    }
-    Ok(())
-}
-
-/// [`grant_round`] over the discrete-event substrate: tasks run inline
-/// at dispatch, and every queued completion is indexed.
-fn grant_inline(
-    lanes: &mut [Lane<'_, '_>],
-    arbiter: &dyn TenantArbiter,
-    slots: usize,
-    round: u64,
-    scratch: &mut GrantScratch,
-    head: &mut HeadIndex,
-) -> Result<(), EqcError> {
-    grant_round(
-        lanes,
-        arbiter,
-        slots,
-        round,
-        scratch,
-        |lane, t, r, round| {
-            let completed = lane.dispatch_inline(r, round)?;
-            head.note_at(t, lane.offset_s + completed.as_secs());
-            Ok(())
-        },
-    )
-}
-
-/// The fleet clock a streaming drive advances across calls: grant
-/// rounds, the latest absorbed global event time (virtual seconds) and
-/// the virtual time the fleet sat empty waiting for an arrival.
+/// The fleet clock the stepper advances across calls: grant rounds, the
+/// latest absorbed global event time (virtual seconds) and the virtual
+/// time the fleet sat empty waiting for an arrival.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct DriveClock {
     pub(crate) round: u64,
@@ -1150,173 +827,395 @@ pub(crate) struct DriveClock {
     pub(crate) idle_s: f64,
 }
 
-/// A pending tenant arrival: lane index and fleet-clock arrival time in
-/// virtual seconds. Arrival queues must be sorted ascending by `at_s`.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Arrival {
-    pub(crate) lane: usize,
-    pub(crate) at_s: f64,
+/// The shared substrate's per-device occupancy ledgers plus the
+/// incremental view over them, built together.
+pub(crate) struct SharedLedgers {
+    ledgers: Vec<Arc<Mutex<DeviceQueue>>>,
+    tracker: OccupancyTracker,
 }
 
-/// The batch case: every lane arrives at fleet time zero, in lane
-/// order.
-fn arrivals_at_zero(n: usize) -> VecDeque<Arrival> {
-    (0..n).map(|lane| Arrival { lane, at_s: 0.0 }).collect()
-}
-
-/// Whether the streaming drive has nothing left to do: no pending
-/// arrivals and every arrived lane retired.
-fn quiescent(lanes: &[Lane<'_, '_>], arrivals: &VecDeque<Arrival>) -> bool {
-    arrivals.is_empty() && lanes.iter().all(|l| !l.arrived || l.done)
-}
-
-/// Processes every arrival due at the queue head's arrival time (ties
-/// activate together, in queue order), accounting idle fleet hours when
-/// the clock has to jump forward over an empty fleet. Tenants whose
-/// goal is already met retire at activation.
-fn activate_due(
-    lanes: &mut [Lane<'_, '_>],
-    arrivals: &mut VecDeque<Arrival>,
-    clock: &mut DriveClock,
-    on_retire: &mut dyn FnMut(usize, f64),
-) -> Result<(), EqcError> {
-    let head = arrivals.front().expect("caller checked a pending arrival");
-    let at_s = head.at_s;
-    let fleet_empty = lanes.iter().all(|l| !l.arrived || l.done);
-    if fleet_empty && at_s > clock.now_s {
-        clock.idle_s += at_s - clock.now_s;
+impl SharedLedgers {
+    /// One ledger per physical device, over the device's own base queue
+    /// model and the fleet's exogenous load generator. The Poisson
+    /// variant's seed is offset by the device index so devices draw
+    /// independent arrival streams.
+    pub(crate) fn new(devices: &[Device], load: LoadModel) -> Result<Self, EqcError> {
+        let ledgers = devices
+            .iter()
+            .enumerate()
+            .map(|(d, dev)| {
+                let load = match load {
+                    LoadModel::Poisson {
+                        jobs_per_hour,
+                        mean_job_s,
+                        seed,
+                    } => LoadModel::Poisson {
+                        jobs_per_hour,
+                        mean_job_s,
+                        seed: seed.wrapping_add(d as u64),
+                    },
+                    other => other,
+                };
+                DeviceQueue::new(dev.base_queue(), load)
+                    .map(|q| Arc::new(Mutex::new(q)))
+                    .map_err(|e| EqcError::InvalidConfig(e.to_string()))
+            })
+            .collect::<Result<Vec<_>, EqcError>>()?;
+        let tracker = OccupancyTracker::new(&ledgers)?;
+        Ok(SharedLedgers { ledgers, tracker })
     }
-    clock.now_s = clock.now_s.max(at_s);
-    while let Some(a) = arrivals.front() {
-        if a.at_s > at_s {
-            break;
-        }
-        let a = arrivals.pop_front().expect("peeked");
-        lanes[a.lane].activate(clock.round)?;
-        if lanes[a.lane].done {
-            on_retire(a.lane, clock.now_s);
-        }
-    }
-    Ok(())
 }
 
-/// The resumable discrete-event stepper both fleet modes share. Batch
-/// runs ([`drive_des`]) feed it all-lanes-arrive-at-zero and drive to
-/// quiescence once; the streaming [`service`] keeps the clock across
-/// calls and feeds admissions as future arrivals.
+/// Where one drive runs its granted tasks.
+pub(crate) enum DriveOn<'d> {
+    /// Inline at dispatch (the discrete-event reference).
+    Inline,
+    /// Inline, with every lane's clone of device `d` booking into ledger
+    /// `d` at the lane's arrival offset for the duration of the drive.
+    Shared(&'d mut SharedLedgers),
+    /// On a bounded worker pool of `workers` threads; the pool counters
+    /// are merged into `telemetry`, run outcome notwithstanding.
+    Pooled {
+        workers: usize,
+        telemetry: &'d mut Option<PoolTelemetry>,
+    },
+}
+
+/// Drives `lanes` to quiescence on `on`: the fleet's one
+/// activate → grant → absorb stepper, which every fleet entry point
+/// shares — the single-session executors (one lane under
+/// [`Unshared`]), [`FleetRuntime`] and [`FleetService`].
 ///
-/// Event order is the fleet total order over *global* times (arrival
-/// offset + local completion); an arrival due at or before the next
-/// event is processed first (so a tenant is live for the grant round
-/// that precedes any later absorb), and `on_retire` fires the moment a
-/// lane's last gather absorbs — co-tenants never pause.
-pub(crate) fn drive_stream_des(
+/// Lanes must be sorted by arrival offset; each arrives at its offset
+/// on the fleet clock. An arrival due at or before the next event is
+/// processed first (so a tenant is live for the grant round that
+/// precedes any later absorb), and every absorb is followed by one
+/// grant round. `clock` persists across calls. Returns each lane's
+/// retirement `(lane, fleet seconds)` in retirement order — the moment
+/// its last gather absorbed.
+pub(crate) fn drive(
     lanes: &mut [Lane<'_, '_>],
     arbiter: &dyn TenantArbiter,
     slots: usize,
     clock: &mut DriveClock,
-    arrivals: &mut VecDeque<Arrival>,
-    on_retire: &mut dyn FnMut(usize, f64),
-) -> Result<(), EqcError> {
-    let mut head = HeadIndex::new(lanes);
-    let mut scratch = GrantScratch::default();
-    while !quiescent(lanes, arrivals) {
-        let next_event = head.next(lanes);
-        #[cfg(test)]
-        assert_eq!(
-            next_event.map(|(t, _)| t),
-            next_lane(lanes),
-            "head index diverged from the linear-scan oracle"
-        );
-        if let Some(a) = arrivals.front() {
-            if next_event.is_none_or(|(_, e)| a.at_s <= e) {
-                activate_due(lanes, arrivals, clock, on_retire)?;
-                grant_inline(lanes, arbiter, slots, clock.round, &mut scratch, &mut head)?;
-                clock.round += 1;
+    on: DriveOn<'_>,
+) -> Result<Vec<(usize, f64)>, EqcError> {
+    debug_assert!(lanes.is_sorted_by(|a, b| a.offset_s <= b.offset_s));
+    match on {
+        DriveOn::Inline => Stepper::new(lanes, arbiter, slots, clock, None).run(&mut Inline),
+        DriveOn::Shared(shared) => {
+            for lane in lanes.iter_mut() {
+                debug_assert_eq!(lane.clients.len(), shared.ledgers.len());
+                for (client, ledger) in lane.clients.iter_mut().zip(&shared.ledgers) {
+                    client
+                        .backend_mut()
+                        .attach_shared_queue_at(Arc::clone(ledger), lane.offset_s);
+                }
+            }
+            let tracker = Some(&mut shared.tracker);
+            let driven = Stepper::new(lanes, arbiter, slots, clock, tracker).run(&mut Inline);
+            for lane in lanes.iter_mut() {
+                for client in lane.clients.iter_mut() {
+                    client.backend_mut().detach_shared_queue();
+                }
+            }
+            driven
+        }
+        DriveOn::Pooled { workers, telemetry } => {
+            let (driven, counters) = on_pool(lanes, workers, |lanes, pool| {
+                Stepper::new(lanes, arbiter, slots, clock, None).run(pool)
+            });
+            *telemetry = Some(match telemetry.take() {
+                None => counters,
+                Some(prev) => PoolTelemetry {
+                    workers_spawned: prev.workers_spawned.max(counters.workers_spawned),
+                    queue_depth_max: prev.queue_depth_max.max(counters.queue_depth_max),
+                    tasks_stolen: prev.tasks_stolen + counters.tasks_stolen,
+                },
+            });
+            driven
+        }
+    }
+}
+
+/// Drives one session to completion as a fleet of one tenant under
+/// [`Unshared`] — exactly the historical prime / pop-earliest / absorb
+/// / re-dispatch loop. The
+/// [`DiscreteEventExecutor`](crate::DiscreteEventExecutor) and the
+/// deterministic [`PooledExecutor`](crate::PooledExecutor) are this
+/// call on their substrate.
+pub(crate) fn drive_session(
+    session: &mut EnsembleSession<'_>,
+    on: DriveOn<'_>,
+) -> Result<TrainingReport, EqcError> {
+    let (problem, shots) = (session.problem(), session.config().shots);
+    let (clients, master) = session.split_mut();
+    let n = clients.len();
+    let mut lanes = [Lane::new(problem, shots, clients, master)];
+    drive(&mut lanes, &Unshared, n, &mut DriveClock::default(), on)?;
+    session.finish(format!("eqc[{n}]"))
+}
+
+/// How granted tasks execute: the stepper's one substrate seam.
+/// Monomorphized per substrate, so a grant round makes no dynamic call.
+trait Execute {
+    /// Runs or queues one granted task of lane `t`. A task whose
+    /// completion is known at dispatch enters `head` here.
+    fn dispatch(
+        &mut self,
+        lane: &mut Lane<'_, '_>,
+        t: usize,
+        r: ReadyClient,
+        round: u64,
+        head: &mut HeadIndex,
+    ) -> Result<(), EqcError>;
+
+    /// Whether no in-flight task can still complete before fleet time
+    /// `at_s` (an arrival there is then provably next).
+    fn clear_until(&self, lanes: &[Lane<'_, '_>], at_s: f64) -> bool;
+
+    /// Whether no in-flight task can still precede lane `t`'s head
+    /// event, which completes at fleet time `completed_s`.
+    fn clear_before(&self, lanes: &[Lane<'_, '_>], t: usize, completed_s: f64) -> bool;
+
+    /// Blocks for one in-flight completion and indexes it; `false` when
+    /// nothing is in flight.
+    fn wait(&mut self, lanes: &mut [Lane<'_, '_>], head: &mut HeadIndex) -> Result<bool, EqcError>;
+}
+
+/// Tasks run at dispatch, so nothing is ever in flight.
+struct Inline;
+
+impl Execute for Inline {
+    fn dispatch(
+        &mut self,
+        lane: &mut Lane<'_, '_>,
+        t: usize,
+        r: ReadyClient,
+        round: u64,
+        head: &mut HeadIndex,
+    ) -> Result<(), EqcError> {
+        let (a, submit) = lane.take_assignment(&r, round)?;
+        let result =
+            lane.clients[r.client].run_task(lane.problem, a.task, &a.params, lane.shots, submit);
+        let completed = result.completed;
+        lane.heap.push(Event {
+            completed,
+            client: r.client,
+            result,
+            cycle: a.cycle,
+            dispatched_at_update: a.dispatched_at_update,
+        });
+        head.note_at(t, lane.offset_s + completed.as_secs());
+        Ok(())
+    }
+
+    fn clear_until(&self, _: &[Lane<'_, '_>], _: f64) -> bool {
+        true
+    }
+
+    fn clear_before(&self, _: &[Lane<'_, '_>], _: usize, _: f64) -> bool {
+        true
+    }
+
+    fn wait(&mut self, _: &mut [Lane<'_, '_>], _: &mut HeadIndex) -> Result<bool, EqcError> {
+        Ok(false)
+    }
+}
+
+/// The stepper's state for one call: the lanes, the arbiter, the
+/// persistent clock, the arrival cursor and the hot-path indexes.
+struct Stepper<'d, 'a, 'p> {
+    lanes: &'d mut [Lane<'a, 'p>],
+    arbiter: &'d dyn TenantArbiter,
+    slots: usize,
+    clock: &'d mut DriveClock,
+    /// The shared substrate's occupancy view; `None` elsewhere.
+    tracker: Option<&'d mut OccupancyTracker>,
+    /// Index of the next lane to arrive.
+    next_arrival: usize,
+    /// `(lane, fleet seconds)` per retired lane, in retirement order.
+    retired: Vec<(usize, f64)>,
+    head: HeadIndex,
+    scratch: GrantScratch,
+}
+
+impl<'d, 'a, 'p> Stepper<'d, 'a, 'p> {
+    fn new(
+        lanes: &'d mut [Lane<'a, 'p>],
+        arbiter: &'d dyn TenantArbiter,
+        slots: usize,
+        clock: &'d mut DriveClock,
+        tracker: Option<&'d mut OccupancyTracker>,
+    ) -> Self {
+        let head = HeadIndex::new(lanes);
+        Stepper {
+            retired: Vec::with_capacity(lanes.len()),
+            lanes,
+            arbiter,
+            slots,
+            clock,
+            tracker,
+            next_arrival: 0,
+            head,
+            scratch: GrantScratch::default(),
+        }
+    }
+
+    /// Steps to quiescence: every lane arrived and retired.
+    fn run<X: Execute>(mut self, exec: &mut X) -> Result<Vec<(usize, f64)>, EqcError> {
+        while self.retired.len() < self.lanes.len() {
+            let next_event = self.head.next(self.lanes);
+            #[cfg(test)]
+            assert_eq!(
+                next_event.map(|(t, _)| t),
+                next_lane(self.lanes),
+                "head index diverged from the linear-scan oracle"
+            );
+            // Arrivals win ties with events.
+            let arrival = self.lanes.get(self.next_arrival).map(|l| l.offset_s);
+            if let Some(at_s) = arrival {
+                if next_event.is_none_or(|(_, e)| at_s <= e) && exec.clear_until(self.lanes, at_s) {
+                    self.refresh_occupancy();
+                    self.activate_due(at_s)?;
+                    self.grant(exec)?;
+                    continue;
+                }
+            }
+            let safe = next_event.filter(|&(t, e)| {
+                arrival.is_none_or(|a| e < a) && exec.clear_before(self.lanes, t, e)
+            });
+            if let Some((t, _)) = safe {
+                self.refresh_occupancy();
+                let completed = self.lanes[t].absorb_next(self.clock.round)?;
+                self.head.note(self.lanes, t);
+                self.clock.now_s = self
+                    .clock
+                    .now_s
+                    .max(self.lanes[t].offset_s + completed.as_secs());
+                if self.lanes[t].done {
+                    self.retired.push((t, self.clock.now_s));
+                    if self.retired.len() == self.lanes.len() {
+                        break;
+                    }
+                }
+                self.grant(exec)?;
                 continue;
             }
+            if !exec.wait(self.lanes, &mut self.head)? {
+                return Err(EqcError::Internal(
+                    if next_event.is_none() && arrival.is_none() {
+                        "event queue drained before the epoch budget".into()
+                    } else {
+                        // Unreachable: with nothing in flight every bound is
+                        // clear, so a pending arrival or known head is
+                        // provably next.
+                        "fleet lookahead wedged".into()
+                    },
+                ));
+            }
         }
-        let Some((t, _)) = next_event else {
-            return Err(EqcError::Internal(
-                "event queue drained before the epoch budget".into(),
-            ));
-        };
-        let completed = absorb_next(lanes, t, clock.round)?;
-        head.note(lanes, t);
-        clock.now_s = clock.now_s.max(lanes[t].offset_s + completed.as_secs());
-        if lanes[t].done {
-            on_retire(t, clock.now_s);
-        }
-        if quiescent(lanes, arrivals) {
-            break;
-        }
-        grant_inline(lanes, arbiter, slots, clock.round, &mut scratch, &mut head)?;
-        clock.round += 1;
+        Ok(self.retired)
     }
-    Ok(())
-}
 
-/// The reference fleet drive: a seeded multi-lane discrete-event loop.
-/// With one lane and the [`Unshared`] arbiter this is exactly the
-/// historical [`DiscreteEventExecutor`](crate::DiscreteEventExecutor)
-/// loop (prime, pop-earliest, absorb, re-dispatch the freed client) —
-/// which is why that executor now delegates here. A batch drive is the
-/// streaming stepper with every lane arriving at fleet time zero.
-pub(crate) fn drive_des(
-    lanes: &mut [Lane<'_, '_>],
-    arbiter: &dyn TenantArbiter,
-    slots: usize,
-) -> Result<DriveStats, EqcError> {
-    let mut clock = DriveClock::default();
-    let mut arrivals = arrivals_at_zero(lanes.len());
-    drive_stream_des(
-        lanes,
-        arbiter,
-        slots,
-        &mut clock,
-        &mut arrivals,
-        &mut |_, _| {},
-    )?;
-    Ok(DriveStats {
-        grant_rounds: clock.round,
-        lanes: lanes
-            .iter_mut()
-            .map(|l| std::mem::take(&mut l.counters))
-            .collect(),
-        snapshot_rebuilds: 0,
-        snapshot_reuses: 0,
-    })
-}
+    /// Before-decision hook: refreshes the occupancy view of every lane
+    /// whose scheduler consults queue estimates. Off the shared
+    /// substrate, and for estimate-free schedulers (the paper's cyclic
+    /// default), nothing is touched — their decision sequence, and
+    /// hence the zero-load single-tenant oracle, stays byte-exact.
+    fn refresh_occupancy(&mut self) {
+        let Some(tracker) = self.tracker.as_deref_mut() else {
+            return;
+        };
+        if !self
+            .lanes
+            .iter()
+            .any(|l| !l.done && l.master.wants_occupancy())
+        {
+            return;
+        }
+        let view = tracker.refresh();
+        for lane in self.lanes.iter_mut().filter(|l| !l.done) {
+            if lane.master.wants_occupancy() {
+                lane.master.install_fleet_occupancy(view, lane.offset_s);
+            }
+        }
+    }
 
-/// One shared occupancy ledger per physical device, over the device's
-/// own base queue model and the fleet's exogenous load generator. The
-/// Poisson variant's seed is offset by the device index so devices draw
-/// independent arrival streams.
-pub(crate) fn ledgers_for(
-    devices: &[Device],
-    load: LoadModel,
-) -> Result<Vec<Arc<Mutex<DeviceQueue>>>, EqcError> {
-    devices
-        .iter()
-        .enumerate()
-        .map(|(d, dev)| {
-            let load = match load {
-                LoadModel::Poisson {
-                    jobs_per_hour,
-                    mean_job_s,
-                    seed,
-                } => LoadModel::Poisson {
-                    jobs_per_hour,
-                    mean_job_s,
-                    seed: seed.wrapping_add(d as u64),
-                },
-                other => other,
-            };
-            DeviceQueue::new(dev.base_queue(), load)
-                .map(|q| Arc::new(Mutex::new(q)))
-                .map_err(|e| EqcError::InvalidConfig(e.to_string()))
-        })
-        .collect()
+    /// Activates every lane arriving at `at_s` (ties together, in lane
+    /// order), accounting idle fleet time when the clock jumps forward
+    /// over an empty fleet. Tenants whose goal is already met retire at
+    /// activation.
+    fn activate_due(&mut self, at_s: f64) -> Result<(), EqcError> {
+        let fleet_empty = self.retired.len() == self.next_arrival;
+        if fleet_empty && at_s > self.clock.now_s {
+            self.clock.idle_s += at_s - self.clock.now_s;
+        }
+        self.clock.now_s = self.clock.now_s.max(at_s);
+        while let Some(lane) = self.lanes.get_mut(self.next_arrival) {
+            if lane.offset_s > at_s {
+                break;
+            }
+            lane.activate(self.clock.round)?;
+            if lane.done {
+                self.retired.push((self.next_arrival, self.clock.now_s));
+            }
+            self.next_arrival += 1;
+        }
+        Ok(())
+    }
+
+    /// One arbiter grant round: allocate capacity, dispatch ready
+    /// clients up to each lane's cap, and account starvation (pending
+    /// work, nothing running, nothing granted). On the shared
+    /// substrate a lane whose scheduler consults occupancy picks
+    /// *which* ready client each grant dispatches via
+    /// [`MasterLoop::pick_client`] over the whole ready set (refreshing
+    /// the view per pick, so a co-tenant's booking earlier in the same
+    /// round is already visible); every other lane dispatches in FIFO
+    /// order.
+    fn grant<X: Execute>(&mut self, exec: &mut X) -> Result<(), EqcError> {
+        let round = self.clock.round;
+        fill_loads(self.lanes, &mut self.scratch.loads);
+        let caps = self.arbiter.allocate(&ArbiterContext {
+            loads: &self.scratch.loads,
+            total_slots: self.slots,
+            round,
+        });
+        for (t, lane) in self.lanes.iter_mut().enumerate() {
+            if lane.done || !lane.arrived {
+                continue;
+            }
+            let cap = caps.get(t).copied().unwrap_or(0);
+            let mut granted = 0usize;
+            while lane.in_flight < cap && !lane.ready.is_empty() {
+                let idx = match self.tracker.as_deref_mut() {
+                    Some(tracker) if lane.master.wants_occupancy() && lane.ready.len() > 1 => {
+                        lane.master
+                            .install_fleet_occupancy(tracker.refresh(), lane.offset_s);
+                        let candidates = &mut self.scratch.candidates;
+                        candidates.clear();
+                        candidates.extend(lane.ready.iter().map(|r| r.client));
+                        candidates.sort_unstable();
+                        let pick = lane.master.pick_client(candidates)?;
+                        lane.ready
+                            .iter()
+                            .position(|r| r.client == pick)
+                            .expect("picked client comes from the ready set")
+                    }
+                    _ => 0,
+                };
+                let r = lane.ready.remove(idx).expect("index within the ready set");
+                exec.dispatch(lane, t, r, round, &mut self.head)?;
+                granted += 1;
+            }
+            if granted == 0 && lane.in_flight == 0 && !lane.ready.is_empty() {
+                lane.counters.starved_rounds += 1;
+            }
+        }
+        self.clock.round += 1;
+        Ok(())
+    }
 }
 
 /// One tenant's total device-queue wait (admission to start, all jobs
@@ -1332,7 +1231,7 @@ pub(crate) fn queue_wait_hours(clients: &[ClientNode]) -> f64 {
 /// The per-device occupancy histogram read off the shared ledgers after
 /// a drive, with queue-wait hours supplied per device (summed across
 /// tenants by the caller, in a deterministic order).
-pub(crate) fn occupancy_rows(
+fn occupancy_rows(
     devices: &[Device],
     ledgers: &[Arc<Mutex<DeviceQueue>>],
     queued_s: &[f64],
@@ -1368,7 +1267,7 @@ pub(crate) fn occupancy_rows(
 /// panic.
 ///
 /// Kept as the lock-and-allocate oracle the incremental
-/// [`OccupancyTracker`] (the drives' hot path) is pinned against.
+/// [`OccupancyTracker`] (the stepper's hot path) is pinned against.
 #[cfg(test)]
 fn occupancy_snapshot(ledgers: &[Arc<Mutex<DeviceQueue>>]) -> Result<FleetOccupancy, EqcError> {
     let mut scalars = Vec::with_capacity(ledgers.len());
@@ -1397,7 +1296,7 @@ fn occupancy_snapshot(ledgers: &[Arc<Mutex<DeviceQueue>>]) -> Result<FleetOccupa
 /// (no co-tenant booked since the last look) is allocation-free and
 /// lock-free — the old path locked all N ledgers and allocated a fresh
 /// [`FleetOccupancy`] per scheduler pick.
-pub(crate) struct OccupancyTracker {
+struct OccupancyTracker {
     handles: Vec<QueueReadHandle>,
     /// Last version folded into `view` per device (`u64::MAX` forces
     /// the first refresh to copy everything).
@@ -1411,7 +1310,7 @@ impl OccupancyTracker {
     /// Takes one read handle per ledger (each lock is held once, here,
     /// never again). A poisoned ledger surfaces as
     /// [`EqcError::LedgerPoisoned`].
-    pub(crate) fn new(ledgers: &[Arc<Mutex<DeviceQueue>>]) -> Result<Self, EqcError> {
+    fn new(ledgers: &[Arc<Mutex<DeviceQueue>>]) -> Result<Self, EqcError> {
         let handles = ledgers
             .iter()
             .enumerate()
@@ -1451,224 +1350,15 @@ impl OccupancyTracker {
     }
 
     /// Per-device refreshes performed / skipped so far.
-    pub(crate) fn counters(&self) -> (u64, u64) {
+    fn counters(&self) -> (u64, u64) {
         (self.rebuilds, self.reuses)
     }
-}
-
-/// Refreshes the occupancy view of every lane whose scheduler actually
-/// consults queue estimates. Lanes under estimate-free schedulers (the
-/// paper's cyclic default) are never touched — their decision sequence,
-/// and hence the zero-load single-tenant oracle, stays byte-exact.
-fn refresh_occupancy(lanes: &mut [Lane<'_, '_>], tracker: &mut OccupancyTracker) {
-    if !lanes.iter().any(|l| !l.done && l.master.wants_occupancy()) {
-        return;
-    }
-    let view = tracker.refresh();
-    for lane in lanes.iter_mut().filter(|l| !l.done) {
-        if lane.master.wants_occupancy() {
-            lane.master.install_fleet_occupancy(view, lane.offset_s);
-        }
-    }
-}
-
-/// [`grant_round`] over the shared substrate: identical capacity
-/// allocation, cap loop and starvation accounting, with one upgrade —
-/// a lane whose scheduler consults occupancy picks *which* ready client
-/// each grant dispatches via [`MasterLoop::pick_client`] over the whole
-/// ready set (refreshing the tracker per pick, so a co-tenant's booking
-/// earlier in the same round is already visible), instead of FIFO
-/// order. Estimate-free lanes keep the FIFO dispatch, byte for byte.
-#[allow(clippy::too_many_arguments)]
-fn grant_shared(
-    lanes: &mut [Lane<'_, '_>],
-    arbiter: &dyn TenantArbiter,
-    slots: usize,
-    round: u64,
-    tracker: &mut OccupancyTracker,
-    scratch: &mut GrantScratch,
-    head: &mut HeadIndex,
-) -> Result<(), EqcError> {
-    fill_loads(lanes, &mut scratch.loads);
-    let caps = arbiter.allocate(&ArbiterContext {
-        loads: &scratch.loads,
-        total_slots: slots,
-        round,
-    });
-    for (t, lane) in lanes.iter_mut().enumerate() {
-        if lane.done || !lane.arrived {
-            continue;
-        }
-        let cap = caps.get(t).copied().unwrap_or(0);
-        let mut granted = 0usize;
-        while lane.in_flight < cap && !lane.ready.is_empty() {
-            let idx = if lane.master.wants_occupancy() && lane.ready.len() > 1 {
-                lane.master
-                    .install_fleet_occupancy(tracker.refresh(), lane.offset_s);
-                let candidates = &mut scratch.candidates;
-                candidates.clear();
-                candidates.extend(lane.ready.iter().map(|r| r.client));
-                candidates.sort_unstable();
-                let pick = lane.master.pick_client(candidates)?;
-                lane.ready
-                    .iter()
-                    .position(|r| r.client == pick)
-                    .expect("picked client comes from the ready set")
-            } else {
-                0
-            };
-            let r = lane.ready.remove(idx).expect("index within the ready set");
-            let completed = lane.dispatch_inline(r, round)?;
-            head.note_at(t, lane.offset_s + completed.as_secs());
-            granted += 1;
-        }
-        if granted == 0 && lane.in_flight == 0 && !lane.ready.is_empty() {
-            lane.counters.starved_rounds += 1;
-        }
-    }
-    Ok(())
-}
-
-/// [`drive_stream_des`]'s shared-queue twin: the same resumable
-/// activate/grant/absorb stepper, with every lane's clone of physical
-/// device `d` attached to ledger `d` for the duration of the call (so
-/// start times resolve through one global timeline) and the occupancy
-/// view refreshed ahead of each scheduling decision point.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn drive_stream_shared(
-    lanes: &mut [Lane<'_, '_>],
-    arbiter: &dyn TenantArbiter,
-    slots: usize,
-    ledgers: &[Arc<Mutex<DeviceQueue>>],
-    tracker: &mut OccupancyTracker,
-    clock: &mut DriveClock,
-    arrivals: &mut VecDeque<Arrival>,
-    on_retire: &mut dyn FnMut(usize, f64),
-) -> Result<(), EqcError> {
-    for lane in lanes.iter_mut() {
-        debug_assert_eq!(lane.clients.len(), ledgers.len());
-        for (d, client) in lane.clients.iter_mut().enumerate() {
-            client
-                .backend_mut()
-                .attach_shared_queue(Arc::clone(&ledgers[d]));
-        }
-    }
-    let driven = shared_stepper(lanes, arbiter, slots, tracker, clock, arrivals, on_retire);
-    for lane in lanes.iter_mut() {
-        for client in lane.clients.iter_mut() {
-            client.backend_mut().detach_shared_queue();
-        }
-    }
-    driven
-}
-
-/// The stepper body behind [`drive_stream_shared`] — structurally the
-/// [`drive_stream_des`] loop with occupancy refreshes before the two
-/// multi-candidate scheduling points (priming at activation, capacity
-/// grants) and the shared grant loop in place of the inline one.
-fn shared_stepper(
-    lanes: &mut [Lane<'_, '_>],
-    arbiter: &dyn TenantArbiter,
-    slots: usize,
-    tracker: &mut OccupancyTracker,
-    clock: &mut DriveClock,
-    arrivals: &mut VecDeque<Arrival>,
-    on_retire: &mut dyn FnMut(usize, f64),
-) -> Result<(), EqcError> {
-    let mut head = HeadIndex::new(lanes);
-    let mut scratch = GrantScratch::default();
-    while !quiescent(lanes, arrivals) {
-        let next_event = head.next(lanes);
-        #[cfg(test)]
-        assert_eq!(
-            next_event.map(|(t, _)| t),
-            next_lane(lanes),
-            "head index diverged from the linear-scan oracle"
-        );
-        if let Some(a) = arrivals.front() {
-            if next_event.is_none_or(|(_, e)| a.at_s <= e) {
-                refresh_occupancy(lanes, tracker);
-                activate_due(lanes, arrivals, clock, on_retire)?;
-                grant_shared(
-                    lanes,
-                    arbiter,
-                    slots,
-                    clock.round,
-                    tracker,
-                    &mut scratch,
-                    &mut head,
-                )?;
-                clock.round += 1;
-                continue;
-            }
-        }
-        let Some((t, _)) = next_event else {
-            return Err(EqcError::Internal(
-                "event queue drained before the epoch budget".into(),
-            ));
-        };
-        refresh_occupancy(lanes, tracker);
-        let completed = absorb_next(lanes, t, clock.round)?;
-        head.note(lanes, t);
-        clock.now_s = clock.now_s.max(lanes[t].offset_s + completed.as_secs());
-        if lanes[t].done {
-            on_retire(t, clock.now_s);
-        }
-        if quiescent(lanes, arrivals) {
-            break;
-        }
-        grant_shared(
-            lanes,
-            arbiter,
-            slots,
-            clock.round,
-            tracker,
-            &mut scratch,
-            &mut head,
-        )?;
-        clock.round += 1;
-    }
-    Ok(())
-}
-
-/// The batch shared-queue drive: the streaming stepper with every lane
-/// arriving at fleet time zero, exactly as [`drive_des`] wraps
-/// [`drive_stream_des`].
-pub(crate) fn drive_shared(
-    lanes: &mut [Lane<'_, '_>],
-    arbiter: &dyn TenantArbiter,
-    slots: usize,
-    ledgers: &[Arc<Mutex<DeviceQueue>>],
-) -> Result<DriveStats, EqcError> {
-    let mut clock = DriveClock::default();
-    let mut arrivals = arrivals_at_zero(lanes.len());
-    let mut tracker = OccupancyTracker::new(ledgers)?;
-    drive_stream_shared(
-        lanes,
-        arbiter,
-        slots,
-        ledgers,
-        &mut tracker,
-        &mut clock,
-        &mut arrivals,
-        &mut |_, _| {},
-    )?;
-    let (snapshot_rebuilds, snapshot_reuses) = tracker.counters();
-    Ok(DriveStats {
-        grant_rounds: clock.round,
-        snapshot_rebuilds,
-        snapshot_reuses,
-        lanes: lanes
-            .iter_mut()
-            .map(|l| std::mem::take(&mut l.counters))
-            .collect(),
-    })
 }
 
 /// What the coordinator knows about one in-flight task's eventual
 /// virtual completion time.
 #[derive(Clone, Copy, Debug)]
-pub(crate) enum InflightBound {
+enum InflightBound {
     /// Completion is strictly later than this many virtual seconds
     /// (normal tasks: queue-wait floor plus overhead, execution still to
     /// come).
@@ -1704,7 +1394,7 @@ impl InflightBound {
 /// queue model `queue`. `QpuBackend::start_time` waits at least
 /// `0.8 * wait_s(submit) + overhead_s` after submission, and execution
 /// only adds to that.
-pub(crate) fn bound_for(queue: &QueueModel, submit: SimTime, instant: bool) -> InflightBound {
+fn bound_for(queue: &QueueModel, submit: SimTime, instant: bool) -> InflightBound {
     if instant {
         InflightBound::Exactly(submit.as_secs())
     } else {
@@ -1716,7 +1406,7 @@ pub(crate) fn bound_for(queue: &QueueModel, submit: SimTime, instant: bool) -> I
 /// occur in the slice's circuits, so clients skip the device — see
 /// [`ClientNode::run_task`]). Transpilation preserves occurrence
 /// structure, so this is client-independent.
-pub(crate) fn is_instant(problem: &dyn VqaProblem, assignment: &Assignment) -> bool {
+fn is_instant(problem: &dyn VqaProblem, assignment: &Assignment) -> bool {
     let templates = problem.slice_templates(assignment.task.slice);
     templates.first().is_none_or(|&t| {
         problem.templates()[t]
@@ -1728,7 +1418,7 @@ pub(crate) fn is_instant(problem: &dyn VqaProblem, assignment: &Assignment) -> b
 /// Whether event `(completed, at)` precedes every completion the bound
 /// at `bound_at` still allows, under the fleet's `(completed, tenant,
 /// client)` total order.
-pub(crate) fn precedes(
+fn precedes(
     completed: f64,
     at: (usize, usize),
     bound: InflightBound,
@@ -1765,79 +1455,142 @@ enum FleetMsg {
     },
 }
 
-/// Maps a flat client index back to `(lane, client)`.
-fn locate(offsets: &[usize], flat: usize) -> (usize, usize) {
-    let lane = offsets.partition_point(|&o| o <= flat) - 1;
-    (lane, flat - offsets[lane])
-}
-
-/// The pooled fleet drive: the same grant/absorb sequence as
-/// [`drive_des`], but tasks execute on a bounded worker pool and the
-/// coordinator absorbs the globally earliest event only once the
+/// The pool's side of the stepper: granted tasks queue on the workers,
+/// and the stepper absorbs the globally earliest event only once the
 /// conservative queue-model lookahead proves no in-flight task can
 /// precede it — the [`crate::pool`] trick, generalized across lanes.
-/// A batch drive is the streaming stepper with every lane arriving at
-/// fleet time zero.
-pub(crate) fn drive_pooled(
-    lanes: &mut [Lane<'_, '_>],
-    arbiter: &dyn TenantArbiter,
-    slots: usize,
-    workers: usize,
-) -> (Result<DriveStats, EqcError>, PoolTelemetry) {
-    let mut clock = DriveClock::default();
-    let mut arrivals = arrivals_at_zero(lanes.len());
-    let (driven, telemetry) = drive_stream_pooled(
-        lanes,
-        arbiter,
-        slots,
-        workers,
-        &mut clock,
-        &mut arrivals,
-        &mut |_, _| {},
-    );
-    (
-        driven.map(|()| DriveStats {
-            grant_rounds: clock.round,
-            snapshot_rebuilds: 0,
-            snapshot_reuses: 0,
-            lanes: lanes
-                .iter_mut()
-                .map(|l| std::mem::take(&mut l.counters))
-                .collect(),
-        }),
-        telemetry,
-    )
+///
+/// An arrival at fleet time `a` is processed before any event at `e`
+/// when `a <= e` (ties activate first), so activation is safe only
+/// once every known head and every live bound's floor sits at or past
+/// `a`; an absorb must additionally beat the arrival strictly. When
+/// neither is provable, a task is necessarily in the system, so
+/// receiving strictly grows what is known — no deadlock.
+struct Pool<'r> {
+    /// Each lane's first index into the flat client pool.
+    offsets: &'r [usize],
+    /// Queue model per flat client (the lookahead input).
+    queue_models: &'r [QueueModel],
+    runq: &'r RunQueue<FleetTask>,
+    results: &'r mpsc::Receiver<FleetMsg>,
+    /// Completion bound per flat client with a task in the system,
+    /// with the task's `(lane, client)`.
+    bounds: Vec<Option<(InflightBound, (usize, usize))>>,
+    in_system: usize,
 }
 
-/// [`drive_stream_des`]'s pooled twin: spins up the worker scope, runs
-/// [`coordinate_stream`] to quiescence and hands every client back to
-/// its lane. Always returns pool telemetry, run outcome
+impl Pool<'_> {
+    /// Live bounds of non-done lanes, globalized onto the fleet clock
+    /// with their `(lane, client)`. (Bounds of completed lanes are
+    /// ignored: their remaining events are discarded on arrival, exactly
+    /// as the inline drive never pops a done lane's heap.)
+    fn live<'s>(
+        &'s self,
+        lanes: &'s [Lane<'_, '_>],
+    ) -> impl Iterator<Item = (InflightBound, (usize, usize))> + 's {
+        self.bounds.iter().flatten().filter_map(|&(bound, at)| {
+            let lane = &lanes[at.0];
+            (!lane.done).then(|| (bound.offset_by(lane.offset_s), at))
+        })
+    }
+}
+
+impl Execute for Pool<'_> {
+    /// Queues the task on the workers and registers its completion
+    /// bound. (Completions enter the head index on receive — a pooled
+    /// dispatch does not yet know its event time.)
+    fn dispatch(
+        &mut self,
+        lane: &mut Lane<'_, '_>,
+        t: usize,
+        r: ReadyClient,
+        round: u64,
+        _: &mut HeadIndex,
+    ) -> Result<(), EqcError> {
+        let client = r.client;
+        let (assignment, submit) = lane.take_assignment(&r, round)?;
+        let instant = is_instant(lane.problem, &assignment);
+        let flat = self.offsets[t] + client;
+        let bound = bound_for(&self.queue_models[flat], submit, instant);
+        self.bounds[flat] = Some((bound, (t, client)));
+        self.in_system += 1;
+        self.runq.push(
+            flat,
+            FleetTask {
+                lane: t,
+                client,
+                flat,
+                assignment,
+                submit,
+            },
+        );
+        Ok(())
+    }
+
+    fn clear_until(&self, lanes: &[Lane<'_, '_>], at_s: f64) -> bool {
+        self.live(lanes).all(|(bound, _)| bound.floor_s() >= at_s)
+    }
+
+    fn clear_before(&self, lanes: &[Lane<'_, '_>], t: usize, completed_s: f64) -> bool {
+        let ev = lanes[t].heap.peek().expect("indexed head implies a head");
+        let at = (t, ev.client);
+        self.live(lanes)
+            .all(|(bound, bound_at)| precedes(completed_s, at, bound, bound_at))
+    }
+
+    fn wait(&mut self, lanes: &mut [Lane<'_, '_>], head: &mut HeadIndex) -> Result<bool, EqcError> {
+        if self.in_system == 0 {
+            return Ok(false);
+        }
+        match self.results.recv() {
+            Ok(FleetMsg::Done {
+                lane,
+                client,
+                result,
+                cycle,
+                dispatched_at_update,
+            }) => {
+                self.bounds[self.offsets[lane] + client] = None;
+                self.in_system -= 1;
+                let lane_ref = &mut lanes[lane];
+                if !lane_ref.done {
+                    let completed_s = result.completed.as_secs();
+                    lane_ref.heap.push(Event {
+                        completed: result.completed,
+                        client,
+                        result,
+                        cycle,
+                        dispatched_at_update,
+                    });
+                    head.note_at(lane, lane_ref.offset_s + completed_s);
+                }
+                Ok(true)
+            }
+            Ok(FleetMsg::Panicked { lane, client }) => Err(EqcError::Internal(format!(
+                "fleet task for tenant {lane} client {client} panicked"
+            ))),
+            Err(_) => Err(EqcError::Internal("fleet workers exited early".into())),
+        }
+    }
+}
+
+/// Runs `step` over a bounded pool of `workers` threads: flattens the
+/// lanes' clients into one mutex-guarded pool any worker can execute
+/// against, and hands every client back to its lane afterwards — on
+/// every path. Always returns the pool counters, run outcome
 /// notwithstanding.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn drive_stream_pooled(
-    lanes: &mut [Lane<'_, '_>],
-    arbiter: &dyn TenantArbiter,
-    slots: usize,
+fn on_pool<'a, 'p, T>(
+    lanes: &mut [Lane<'a, 'p>],
     workers: usize,
-    clock: &mut DriveClock,
-    arrivals: &mut VecDeque<Arrival>,
-    on_retire: &mut dyn FnMut(usize, f64),
-) -> (Result<(), EqcError>, PoolTelemetry) {
-    // Flatten the lanes' clients into one mutex-guarded pool any worker
-    // can execute against, remembering each lane's offset and queue
-    // models (the lookahead inputs).
+    step: impl FnOnce(&mut [Lane<'a, 'p>], &mut Pool<'_>) -> Result<T, EqcError>,
+) -> (Result<T, EqcError>, PoolTelemetry) {
     let mut offsets = Vec::with_capacity(lanes.len());
-    let mut queue_models: Vec<Vec<QueueModel>> = Vec::with_capacity(lanes.len());
+    let mut queue_models: Vec<QueueModel> = Vec::new();
     let mut meta: Vec<(&dyn VqaProblem, usize)> = Vec::with_capacity(lanes.len());
     let mut flat: Vec<ClientNode> = Vec::new();
     for lane in lanes.iter_mut() {
         offsets.push(flat.len());
-        queue_models.push(
-            lane.clients
-                .iter()
-                .map(|c| c.backend().queue().clone())
-                .collect(),
-        );
+        queue_models.extend(lane.clients.iter().map(|c| c.backend().queue().clone()));
         meta.push((lane.problem, lane.shots));
         flat.append(lane.clients);
     }
@@ -1845,7 +1598,7 @@ pub(crate) fn drive_stream_pooled(
     let runq: RunQueue<FleetTask> = RunQueue::new(workers);
     let (result_tx, result_rx) = mpsc::channel::<FleetMsg>();
 
-    let driven: Result<(), EqcError> = thread::scope(|scope| {
+    let driven = thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
             let result_tx = result_tx.clone();
@@ -1884,18 +1637,15 @@ pub(crate) fn drive_stream_pooled(
         }
         drop(result_tx);
 
-        let outcome = coordinate_stream(
-            lanes,
-            arbiter,
-            slots,
-            &queue_models,
-            &offsets,
-            &runq,
-            &result_rx,
-            clock,
-            arrivals,
-            on_retire,
-        );
+        let mut pool = Pool {
+            offsets: &offsets,
+            queue_models: &queue_models,
+            runq: &runq,
+            results: &result_rx,
+            bounds: vec![None; queue_models.len()],
+            in_system: 0,
+        };
+        let outcome = step(lanes, &mut pool);
 
         runq.close();
         let mut join_failure = None;
@@ -1904,7 +1654,7 @@ pub(crate) fn drive_stream_pooled(
                 join_failure = Some(EqcError::Internal(format!("fleet worker {w} panicked")));
             }
         }
-        outcome.and_then(|()| join_failure.map_or(Ok(()), Err))
+        outcome.and_then(|v| join_failure.map_or(Ok(v), Err))
     });
 
     // Every client comes back to its lane on every path — poisoned
@@ -1923,204 +1673,6 @@ pub(crate) fn drive_stream_pooled(
         tasks_stolen,
     };
     (driven, telemetry)
-}
-
-/// The pooled coordinator: replays [`drive_stream_des`]'s
-/// activate/grant/absorb sequence exactly, blocking on worker arrivals
-/// only when the lookahead cannot yet prove the globally next step —
-/// be it a tenant activation or an event absorb — safe.
-///
-/// An arrival at fleet time `a` is processed before any event at `e`
-/// when `a <= e` (ties activate first), so activation is safe only
-/// once every known head and every live bound's floor sits at or past
-/// `a`; an absorb must additionally beat the arrival gate strictly.
-/// When neither is provable, a task is necessarily in the system, so
-/// receiving strictly grows what is known — no deadlock.
-#[allow(clippy::too_many_arguments)]
-fn coordinate_stream(
-    lanes: &mut [Lane<'_, '_>],
-    arbiter: &dyn TenantArbiter,
-    slots: usize,
-    queue_models: &[Vec<QueueModel>],
-    offsets: &[usize],
-    runq: &RunQueue<FleetTask>,
-    result_rx: &mpsc::Receiver<FleetMsg>,
-    clock: &mut DriveClock,
-    arrivals: &mut VecDeque<Arrival>,
-    on_retire: &mut dyn FnMut(usize, f64),
-) -> Result<(), EqcError> {
-    let total: usize = queue_models.iter().map(Vec::len).sum();
-    let mut bounds: Vec<Option<InflightBound>> = vec![None; total];
-    let mut in_system = 0usize;
-    let mut head = HeadIndex::new(lanes);
-    let mut scratch = GrantScratch::default();
-
-    // One grant round over the pool: [`grant_round`]'s shared
-    // allocation and cap loop, with a dispatch that queues the task on
-    // the workers instead of running it, registering its completion
-    // bound for the lookahead. (Completions enter the head index on
-    // receive, not here — a pooled dispatch queues work, it does not
-    // yet know its event time.)
-    let grant = |lanes: &mut [Lane<'_, '_>],
-                 bounds: &mut Vec<Option<InflightBound>>,
-                 in_system: &mut usize,
-                 scratch: &mut GrantScratch,
-                 round: u64|
-     -> Result<(), EqcError> {
-        grant_round(
-            lanes,
-            arbiter,
-            slots,
-            round,
-            scratch,
-            |lane, t, r, round| {
-                let client = r.client;
-                let (assignment, submit) = lane.take_assignment(&r, round)?;
-                let instant = is_instant(lane.problem, &assignment);
-                let flat = offsets[t] + client;
-                bounds[flat] = Some(bound_for(&queue_models[t][client], submit, instant));
-                *in_system += 1;
-                runq.push(
-                    flat,
-                    FleetTask {
-                        lane: t,
-                        client,
-                        flat,
-                        assignment,
-                        submit,
-                    },
-                );
-                Ok(())
-            },
-        )
-    };
-
-    while !quiescent(lanes, arrivals) {
-        let next_event = head.next(lanes);
-        #[cfg(test)]
-        assert_eq!(
-            next_event.map(|(t, _)| t),
-            next_lane(lanes),
-            "head index diverged from the linear-scan oracle"
-        );
-        // Bound floors of live tasks on non-done lanes, globalized onto
-        // the fleet clock. (Bounds of completed lanes are ignored:
-        // their remaining events are discarded on arrival, exactly as
-        // the inline drive never pops a done lane's heap.)
-        let live_floor_ok = |gate: f64, lanes: &[Lane<'_, '_>]| {
-            bounds.iter().enumerate().all(|(flat, b)| match b {
-                Some(bound) => {
-                    let (bl, _) = locate(offsets, flat);
-                    lanes[bl].done || bound.offset_by(lanes[bl].offset_s).floor_s() >= gate
-                }
-                None => true,
-            })
-        };
-
-        // Is the next pending arrival provably the globally next step?
-        // (Arrivals win ties with events, as in the inline stepper.)
-        let arrival_gate = arrivals.front().map(|a| a.at_s);
-        if let Some(at_s) = arrival_gate {
-            if next_event.is_none_or(|(_, e)| at_s <= e) && live_floor_ok(at_s, lanes) {
-                activate_due(lanes, arrivals, clock, on_retire)?;
-                grant(
-                    lanes,
-                    &mut bounds,
-                    &mut in_system,
-                    &mut scratch,
-                    clock.round,
-                )?;
-                clock.round += 1;
-                continue;
-            }
-        }
-
-        // Is the globally earliest queued event provably next in the
-        // fleet total order? It must strictly beat the arrival gate
-        // and precede every completion a live bound still allows.
-        let safe = next_event.map(|(t, _)| t).filter(|&t| {
-            let ev = lanes[t].heap.peek().expect("indexed head implies a head");
-            let completed = lanes[t].offset_s + ev.completed.as_secs();
-            let at = (t, ev.client);
-            arrival_gate.is_none_or(|a| completed < a)
-                && bounds.iter().enumerate().all(|(flat, b)| match b {
-                    Some(bound) => {
-                        let bound_at = locate(offsets, flat);
-                        lanes[bound_at.0].done
-                            || precedes(
-                                completed,
-                                at,
-                                bound.offset_by(lanes[bound_at.0].offset_s),
-                                bound_at,
-                            )
-                    }
-                    None => true,
-                })
-        });
-        if let Some(t) = safe {
-            let completed = absorb_next(lanes, t, clock.round)?;
-            head.note(lanes, t);
-            clock.now_s = clock.now_s.max(lanes[t].offset_s + completed.as_secs());
-            if lanes[t].done {
-                on_retire(t, clock.now_s);
-            }
-            if quiescent(lanes, arrivals) {
-                break;
-            }
-            grant(
-                lanes,
-                &mut bounds,
-                &mut in_system,
-                &mut scratch,
-                clock.round,
-            )?;
-            clock.round += 1;
-            continue;
-        }
-        if in_system > 0 {
-            match result_rx.recv() {
-                Ok(FleetMsg::Done {
-                    lane,
-                    client,
-                    result,
-                    cycle,
-                    dispatched_at_update,
-                }) => {
-                    bounds[offsets[lane] + client] = None;
-                    in_system -= 1;
-                    if !lanes[lane].done {
-                        let completed_s = result.completed.as_secs();
-                        lanes[lane].heap.push(Event {
-                            completed: result.completed,
-                            client,
-                            result,
-                            cycle,
-                            dispatched_at_update,
-                        });
-                        head.note_at(lane, lanes[lane].offset_s + completed_s);
-                    }
-                }
-                Ok(FleetMsg::Panicked { lane, client }) => {
-                    return Err(EqcError::Internal(format!(
-                        "fleet task for tenant {lane} client {client} panicked"
-                    )));
-                }
-                Err(_) => {
-                    return Err(EqcError::Internal("fleet workers exited early".into()));
-                }
-            }
-        } else if next_event.is_none() && arrivals.is_empty() {
-            return Err(EqcError::Internal(
-                "event queue drained before the epoch budget".into(),
-            ));
-        } else {
-            // Unreachable: with no tasks in the system every bound is
-            // clear, so a pending arrival or known head is provably
-            // next.
-            return Err(EqcError::Internal("fleet lookahead wedged".into()));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -2177,16 +1729,6 @@ mod tests {
             (1, 2)
         ));
         assert!(precedes(9.0, (7, 7), InflightBound::Exactly(10.0), (0, 0)));
-    }
-
-    #[test]
-    fn locate_inverts_the_flat_layout() {
-        let offsets = [0usize, 3, 5];
-        assert_eq!(locate(&offsets, 0), (0, 0));
-        assert_eq!(locate(&offsets, 2), (0, 2));
-        assert_eq!(locate(&offsets, 3), (1, 0));
-        assert_eq!(locate(&offsets, 4), (1, 1));
-        assert_eq!(locate(&offsets, 5), (2, 0));
     }
 
     #[test]

@@ -16,15 +16,19 @@
 //! [`ServiceTelemetry`] (admissions, retirements, deadline hits and
 //! misses, idle hours, sustained epochs/h).
 //!
-//! Determinism is inherited, not re-implemented: the service drives
-//! the same resumable stepper the batch runtime wraps, so a service
-//! run whose tenants all arrive at `t = 0` replays
+//! Determinism is inherited, not re-implemented: each drain runs the
+//! fleet's one resumable stepper over the pending tenants, sorted by
+//! arrival, and [`FleetRuntime`](super::FleetRuntime) is a batch front
+//! over a per-batch service (every tenant arriving at `t = 0`) that
+//! shares this drain and collection. A service run whose tenants all
+//! arrive at `t = 0` therefore replays
 //! [`FleetRuntime::run`](super::FleetRuntime::run) byte for byte, and
 //! the DES and pooled streaming drives stay byte-identical to each
 //! other (both pinned by tests). Each tenant's own virtual clock
 //! starts at zero regardless of its arrival time, so its
 //! [`TrainingReport`] is exactly what the same session would produce
-//! standalone.
+//! standalone; on the shared substrate its jobs book into the device
+//! ledgers at its arrival offset plus its local time.
 //!
 //! ```
 //! use eqc_core::policy::arbiter::EarliestDeadlineFirst;
@@ -49,9 +53,8 @@
 //! ```
 
 use super::{
-    drive_stream_des, drive_stream_pooled, drive_stream_shared, ledgers_for, occupancy_rows,
-    queue_wait_hours, Arrival, DriveClock, FleetOutcome, Lane, LaneCounters, OccupancyTracker,
-    Substrate, TenantId,
+    drive, occupancy_rows, queue_wait_hours, DriveClock, DriveOn, FleetOutcome, Lane, LaneCounters,
+    SharedLedgers, Substrate, TenantId,
 };
 use crate::client::ClientNode;
 use crate::config::{PoolConfig, ServiceConfig, TenantConfig};
@@ -63,9 +66,8 @@ use crate::report::{
     FleetTelemetry, PoolTelemetry, ServiceTelemetry, ServiceTenantRecord, TenantTelemetry,
     TrainingReport,
 };
-use qdevice::{DeviceQueue, SharedNoiseCache};
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use qdevice::SharedNoiseCache;
+use std::sync::Arc;
 use vqa::VqaProblem;
 
 /// Handle to one tenant admitted to a [`FleetService`], valid for the
@@ -166,8 +168,12 @@ impl ServiceOutcome {
 pub struct FleetService<'p> {
     devices: Vec<Device>,
     arbiter: Arc<dyn TenantArbiter>,
-    substrate: Substrate,
+    pub(super) substrate: Substrate,
     config: ServiceConfig,
+    /// Tenant-batch generation stamped into every issued [`TenantId`]
+    /// and the outcome: always 0 for a standalone service, bumped per
+    /// batch by the [`FleetRuntime`](super::FleetRuntime) front.
+    pub(super) batch: u64,
     /// The admission queue: tenants waiting for the next drain.
     pending: Vec<PendingTenant<'p>>,
     /// One slot per admission, filled at retirement.
@@ -176,15 +182,12 @@ pub struct FleetService<'p> {
     clock: DriveClock,
     /// Pool telemetry merged across pooled drains.
     pool: Option<PoolTelemetry>,
-    /// The per-device occupancy ledgers of the shared substrate, built
-    /// lazily at the first drain and persistent across drains — the
-    /// devices' queue timelines outlive any one tenant batch, exactly
-    /// like the fleet clock.
-    shared_ledgers: Option<Vec<Arc<Mutex<DeviceQueue>>>>,
-    /// The incremental occupancy view over `shared_ledgers`, built with
-    /// them and persistent across drains (its reuse/rebuild counters
-    /// span the service lifetime).
-    occupancy_tracker: Option<OccupancyTracker>,
+    /// The per-device occupancy ledgers of the shared substrate and
+    /// their incremental view, built lazily at the first drain and
+    /// persistent across drains — the devices' queue timelines outlive
+    /// any one tenant, exactly like the fleet clock (and the view's
+    /// reuse/rebuild counters span the service lifetime).
+    shared: Option<SharedLedgers>,
     /// Whether co-tenant clones of one physical device share a noise
     /// cache (see [`FleetBuilder::without_noise_sharing`]).
     ///
@@ -232,12 +235,12 @@ impl<'p> FleetService<'p> {
             arbiter,
             substrate,
             config,
+            batch: 0,
             pending: Vec::new(),
             retired: Vec::new(),
             clock: DriveClock::default(),
             pool: None,
-            shared_ledgers: None,
-            occupancy_tracker: None,
+            shared: None,
             share_noise,
             noise_caches: Vec::new(),
             occupancy_queued_s: vec![0.0; n],
@@ -354,7 +357,10 @@ impl<'p> FleetService<'p> {
         });
         self.retired.push(None);
         Ok(TenantHandle {
-            id: TenantId { index, batch: 0 },
+            id: TenantId {
+                index,
+                batch: self.batch,
+            },
         })
     }
 
@@ -373,111 +379,62 @@ impl<'p> FleetService<'p> {
         if self.pending.is_empty() {
             return Ok(Vec::new());
         }
-        if let Substrate::Shared { load } = self.substrate {
-            if self.shared_ledgers.is_none() {
-                let ledgers = ledgers_for(&self.devices, load)?;
-                self.occupancy_tracker = Some(OccupancyTracker::new(&ledgers)?);
-                self.shared_ledgers = Some(ledgers);
-            }
+        if let (Substrate::Shared { load }, None) = (self.substrate, &self.shared) {
+            self.shared = Some(SharedLedgers::new(&self.devices, load)?);
         }
         let slots = self.devices.len();
         let mut batch = std::mem::take(&mut self.pending);
         // Stable by arrival: simultaneous arrivals activate in
-        // admission order, matching the batch runtime's lane order.
+        // admission order.
         batch.sort_by(|a, b| a.arrival_h.total_cmp(&b.arrival_h));
-        // Noise sharing mirrors the batch runtime: shared mode attaches
-        // the service's persistent per-device caches; private mode gives
-        // each clone a fresh cache, remembered so close() can sum
-        // builds.
-        if self.share_noise {
-            if self.noise_caches.is_empty() {
-                self.noise_caches
-                    .extend((0..slots).map(|_| Arc::new(SharedNoiseCache::default())));
-            }
-            for p in batch.iter_mut() {
-                for (d, client) in p.clients.iter_mut().enumerate() {
-                    client
-                        .backend_mut()
-                        .attach_shared_noise(Arc::clone(&self.noise_caches[d]));
-                }
-            }
-        } else {
-            for p in batch.iter_mut() {
-                for client in p.clients.iter_mut() {
+        // Shared mode attaches the service's persistent per-device noise
+        // caches; private mode gives each clone a fresh cache,
+        // remembered so collection can sum builds.
+        if self.share_noise && self.noise_caches.is_empty() {
+            self.noise_caches
+                .extend((0..slots).map(|_| Arc::new(SharedNoiseCache::default())));
+        }
+        for p in batch.iter_mut() {
+            for (d, client) in p.clients.iter_mut().enumerate() {
+                let cache = if self.share_noise {
+                    Arc::clone(&self.noise_caches[d])
+                } else {
                     let cache = Arc::new(SharedNoiseCache::default());
-                    client.backend_mut().attach_shared_noise(Arc::clone(&cache));
-                    self.noise_caches.push(cache);
-                }
+                    self.noise_caches.push(Arc::clone(&cache));
+                    cache
+                };
+                client.backend_mut().attach_shared_noise(cache);
             }
         }
-        let mut arrivals: VecDeque<Arrival> = batch
-            .iter()
-            .enumerate()
-            .map(|(lane, p)| Arrival {
-                lane,
-                at_s: p.arrival_h * 3600.0,
-            })
-            .collect();
-        let mut retired_at: Vec<(usize, f64)> = Vec::with_capacity(batch.len());
         let mut lanes: Vec<Lane<'_, 'p>> = batch
             .iter_mut()
-            .map(|p| {
-                let PendingTenant {
-                    problem,
-                    shots,
-                    weight,
-                    priority,
-                    deadline_h,
-                    arrival_h,
-                    clients,
-                    master,
-                    ..
-                } = p;
-                Lane::new(*problem, *shots, clients, master, *weight, *priority)
-                    .with_deadline(*deadline_h)
-                    .arriving_at(*arrival_h * 3600.0)
+            .map(|p| Lane {
+                weight: p.weight,
+                priority: p.priority,
+                deadline_h: p.deadline_h,
+                offset_s: p.arrival_h * 3600.0,
+                ..Lane::new(p.problem, p.shots, &mut p.clients, &mut p.master)
             })
             .collect();
-        let mut on_retire = |lane: usize, at_s: f64| retired_at.push((lane, at_s));
-        let driven = match self.substrate {
-            Substrate::DiscreteEvent => drive_stream_des(
-                &mut lanes,
-                self.arbiter.as_ref(),
-                slots,
-                &mut self.clock,
-                &mut arrivals,
-                &mut on_retire,
-            ),
-            Substrate::Shared { .. } => drive_stream_shared(
-                &mut lanes,
-                self.arbiter.as_ref(),
-                slots,
-                self.shared_ledgers.as_deref().expect("built above"),
-                self.occupancy_tracker.as_mut().expect("built above"),
-                &mut self.clock,
-                &mut arrivals,
-                &mut on_retire,
-            ),
-            Substrate::Pooled { workers } => {
-                let total = lanes.iter().map(|l| l.clients.len()).sum();
-                let resolved = PoolConfig {
+        let on = match self.substrate {
+            Substrate::DiscreteEvent => DriveOn::Inline,
+            Substrate::Shared { .. } => DriveOn::Shared(self.shared.as_mut().expect("built above")),
+            Substrate::Pooled { workers } => DriveOn::Pooled {
+                workers: PoolConfig {
                     workers,
                     deterministic: true,
                 }
-                .resolved_workers(total);
-                let (d, telemetry) = drive_stream_pooled(
-                    &mut lanes,
-                    self.arbiter.as_ref(),
-                    slots,
-                    resolved,
-                    &mut self.clock,
-                    &mut arrivals,
-                    &mut on_retire,
-                );
-                self.merge_pool(telemetry);
-                d
-            }
+                .resolved_workers(slots * lanes.len()),
+                telemetry: &mut self.pool,
+            },
         };
+        let driven = drive(
+            &mut lanes,
+            self.arbiter.as_ref(),
+            slots,
+            &mut self.clock,
+            on,
+        );
         let counters: Vec<LaneCounters> = lanes
             .iter_mut()
             .map(|l| std::mem::take(&mut l.counters))
@@ -488,13 +445,12 @@ impl<'p> FleetService<'p> {
                 client.backend_mut().detach_shared_noise();
             }
         }
-        driven?;
+        let retired_at = driven?;
         debug_assert_eq!(retired_at.len(), batch.len(), "drain retires every lane");
-        if self.shared_ledgers.is_some() {
-            // Accumulate in lane order, not retirement order: the batch
-            // runtime sums per-device queue waits over tenants in
-            // admission order, and a zero-arrival drain must replay it
-            // bit for bit.
+        if self.shared.is_some() {
+            // Accumulate in lane order, not retirement order, so the
+            // per-device sums over tenants follow admission order
+            // whichever tenant retires first.
             for p in &batch {
                 for (d, client) in p.clients.iter().enumerate() {
                     self.occupancy_queued_s[d] += client.backend().queued_seconds();
@@ -544,7 +500,7 @@ impl<'p> FleetService<'p> {
             handles.push(TenantHandle {
                 id: TenantId {
                     index: p.index,
-                    batch: 0,
+                    batch: self.batch,
                 },
             });
         }
@@ -570,12 +526,26 @@ impl<'p> FleetService<'p> {
     /// [`EqcError::Internal`] as [`FleetService::drain`].
     pub fn close(mut self) -> Result<ServiceOutcome, EqcError> {
         self.drain()?;
+        self.collect()
+    }
+
+    /// Collects every retired tenant's report and telemetry (admission
+    /// order) plus the service-level telemetry, leaving the service
+    /// without retirees.
+    ///
+    /// # Errors
+    ///
+    /// [`EqcError::NoTenants`] when nothing was admitted;
+    /// [`EqcError::Internal`] if an admitted tenant never retired.
+    pub(super) fn collect(&mut self) -> Result<ServiceOutcome, EqcError> {
         if self.retired.is_empty() {
             return Err(EqcError::NoTenants);
         }
         let admissions = self.retired.len();
-        let occupancy = match &self.shared_ledgers {
-            Some(ledgers) => occupancy_rows(&self.devices, ledgers, &self.occupancy_queued_s)?,
+        let occupancy = match &self.shared {
+            Some(shared) => {
+                occupancy_rows(&self.devices, &shared.ledgers, &self.occupancy_queued_s)?
+            }
             None => Vec::new(),
         };
         let mut reports = Vec::with_capacity(admissions);
@@ -583,7 +553,7 @@ impl<'p> FleetService<'p> {
         let mut records = Vec::with_capacity(admissions);
         let mut epochs_total = 0u64;
         let (mut hits, mut misses) = (0usize, 0usize);
-        for slot in self.retired {
+        for slot in std::mem::take(&mut self.retired) {
             let r = slot.ok_or_else(|| {
                 EqcError::Internal("service closed with an unretired tenant".into())
             })?;
@@ -599,9 +569,9 @@ impl<'p> FleetService<'p> {
         }
         let span_h = self.clock.now_s / 3600.0;
         let (snapshot_rebuilds, snapshot_reuses) = self
-            .occupancy_tracker
+            .shared
             .as_ref()
-            .map_or((0, 0), |t| t.counters());
+            .map_or((0, 0), |s| s.tracker.counters());
         Ok(ServiceOutcome {
             fleet: FleetOutcome {
                 reports,
@@ -617,7 +587,7 @@ impl<'p> FleetService<'p> {
                     shared_noise_hits: self.noise_caches.iter().map(|c| c.hits()).sum(),
                 },
                 pool: self.pool,
-                batch: 0,
+                batch: self.batch,
             },
             service: ServiceTelemetry {
                 arbiter: self.arbiter.name().to_string(),
@@ -638,15 +608,26 @@ impl<'p> FleetService<'p> {
         })
     }
 
-    fn merge_pool(&mut self, telemetry: PoolTelemetry) {
-        self.pool = Some(match self.pool.take() {
-            None => telemetry,
-            Some(prev) => PoolTelemetry {
-                workers_spawned: prev.workers_spawned.max(telemetry.workers_spawned),
-                queue_depth_max: prev.queue_depth_max.max(telemetry.queue_depth_max),
-                tasks_stolen: prev.tasks_stolen + telemetry.tasks_stolen,
-            },
-        });
+    /// Starts the next tenant batch of the [`FleetRuntime`] front: a
+    /// fresh clock, ledgers, noise caches and admission state under the
+    /// next batch generation, keeping the devices and the batched-job
+    /// pipeline.
+    ///
+    /// [`FleetRuntime`]: super::FleetRuntime
+    pub(super) fn next_batch(&mut self) {
+        let devices = std::mem::take(&mut self.devices);
+        let fresh = FleetService::from_parts(
+            devices,
+            Arc::clone(&self.arbiter),
+            self.substrate,
+            self.config,
+            self.share_noise,
+        );
+        *self = FleetService {
+            batch: self.batch + 1,
+            pipeline: self.pipeline.take(),
+            ..fresh
+        };
     }
 }
 

@@ -29,8 +29,9 @@
 //!
 //! ## Deterministic mode (default)
 //!
-//! With [`PoolConfig::deterministic`] set, the run delegates to the
-//! [`crate::fleet`] pooled drive as a fleet of one tenant: results are
+//! With [`PoolConfig::deterministic`] set, the run is the
+//! [`crate::fleet`] stepper on its pooled substrate, as a fleet of one
+//! tenant: results are
 //! absorbed in exactly the
 //! [`DiscreteEventExecutor`](crate::DiscreteEventExecutor) total order
 //! — earliest virtual completion first, client id breaking ties — with
@@ -62,8 +63,8 @@ use crate::config::PoolConfig;
 use crate::ensemble::EnsembleSession;
 use crate::error::EqcError;
 use crate::executor::Executor;
+use crate::fleet::{drive_session, DriveOn};
 use crate::master::Assignment;
-use crate::policy::arbiter::Unshared;
 use crate::report::{PoolTelemetry, TrainingReport};
 use qdevice::SimTime;
 use std::sync::{mpsc, Mutex};
@@ -160,18 +161,14 @@ impl PooledExecutor {
         session: &mut EnsembleSession<'_>,
         workers: usize,
     ) -> Result<TrainingReport, EqcError> {
-        let problem = session.problem();
-        let cfg = session.config();
-        let (clients, master) = session.split_mut();
-        let n = clients.len();
-        let mut lanes = [crate::fleet::Lane::single(
-            problem, cfg.shots, clients, master,
-        )];
-        let (driven, telemetry) = crate::fleet::drive_pooled(&mut lanes, &Unshared, n, workers);
-        drop(lanes);
-        *self.telemetry.lock().expect("telemetry lock") = Some(telemetry);
-        driven?;
-        session.finish(format!("eqc[{n}]"))
+        let mut telemetry = None;
+        let on = DriveOn::Pooled {
+            workers,
+            telemetry: &mut telemetry,
+        };
+        let report = drive_session(session, on);
+        *self.telemetry.lock().expect("telemetry lock") = telemetry;
+        report
     }
 
     /// The arrival-order path: [`ThreadedExecutor`] semantics over the

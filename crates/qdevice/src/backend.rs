@@ -162,7 +162,7 @@ struct NoiseCache {
 /// Fleet-wide noise artifacts shared by every clone of one *physical*
 /// device (across tenants and clients). Clones of a device share its
 /// seed, base calibration and drift model, so the reported calibration
-/// of a cycle, the projected [`BaseNoise`] of a `(cycle, active)` pair
+/// of a cycle, the projected `BaseNoise` of a `(cycle, active)` pair
 /// and the drifted model of a `(cycle, factors, active)` triple are all
 /// pure functions of their keys — a shared build is bit-identical to a
 /// private one. The fleet drives attach one cache per physical device so
@@ -346,6 +346,10 @@ pub struct QpuBackend {
     /// occupancy back — the fleet's shared-queue substrate. Clones share
     /// the attachment.
     shared_queue: Option<Arc<Mutex<DeviceQueue>>>,
+    /// Where this clone's local clock starts on the ledger's global
+    /// timeline, in seconds (a fleet tenant's arrival offset): ledger
+    /// admissions and bookings happen at `offset + local` time.
+    shared_queue_offset_s: f64,
     /// Fleet-wide noise-artifact cache of the *physical* device behind
     /// this clone. When attached, per-clone cache misses resolve through
     /// it so each (cycle, active, factors) artifact is built once
@@ -426,6 +430,7 @@ impl QpuBackend {
             busy_seconds: 0.0,
             queued_seconds: 0.0,
             shared_queue: None,
+            shared_queue_offset_s: 0.0,
             shared_noise: None,
             legacy_execution: false,
             noise_cache: NoiseCache::default(),
@@ -472,7 +477,7 @@ impl QpuBackend {
     /// group-fork path (builder style): each batch binds every
     /// template's base once, describes shifted runs as `(slot, matrix)`
     /// variants forked N-way off one base walk, resumes shared ansatz
-    /// prefixes from the noise-epoch-scoped [`PrefixCache`], and fans
+    /// prefixes from the noise-epoch-scoped `PrefixCache`, and fans
     /// suffix evolutions over the attached [`BatchPipeline`] (inline
     /// when none is attached). Byte-identical to the folded and
     /// unfolded paths; density simulator only (trajectories fall back).
@@ -490,7 +495,7 @@ impl QpuBackend {
     }
 
     /// Batch groups whose shared tape prefix was resumed from the
-    /// [`PrefixCache`] instead of re-evolved (telemetry).
+    /// `PrefixCache` instead of re-evolved (telemetry).
     pub fn prefix_hits(&self) -> u64 {
         self.prefix_hits
     }
@@ -582,13 +587,24 @@ impl QpuBackend {
     /// ledger (the physical device's global timeline across tenants).
     /// Replaces any previous attachment.
     pub fn attach_shared_queue(&mut self, ledger: Arc<Mutex<DeviceQueue>>) {
+        self.attach_shared_queue_at(ledger, 0.0);
+    }
+
+    /// As [`QpuBackend::attach_shared_queue`], for a clone whose local
+    /// clock starts `offset_s` seconds into the ledger's global
+    /// timeline: jobs are admitted and booked at `offset_s + local`
+    /// time, and start times come back on the local clock. A zero offset
+    /// is bit-identical to [`QpuBackend::attach_shared_queue`].
+    pub fn attach_shared_queue_at(&mut self, ledger: Arc<Mutex<DeviceQueue>>, offset_s: f64) {
         self.shared_queue = Some(ledger);
+        self.shared_queue_offset_s = offset_s;
     }
 
     /// Detaches the shared ledger, reverting to this clone's private
     /// `busy_until` serialization.
     pub fn detach_shared_queue(&mut self) {
         self.shared_queue = None;
+        self.shared_queue_offset_s = 0.0;
     }
 
     /// The attached shared ledger, if any.
@@ -677,7 +693,14 @@ impl QpuBackend {
     fn start_time(&mut self, submit: SimTime) -> SimTime {
         let u: f64 = self.rng.gen();
         let mut start = match &self.shared_queue {
-            Some(ledger) => ledger.lock().expect("shared queue lock").admit(submit, u),
+            Some(ledger) => {
+                let offset_s = self.shared_queue_offset_s;
+                let global = ledger
+                    .lock()
+                    .expect("shared queue lock")
+                    .admit_shifted(submit, offset_s, u);
+                SimTime::from_secs(global.as_secs() - offset_s)
+            }
             None => {
                 let wait = self.queue.wait_with_jitter_s(submit, u) + self.queue.overhead_s;
                 (submit + wait).max(self.busy_until)
@@ -709,7 +732,7 @@ impl QpuBackend {
             ledger
                 .lock()
                 .expect("shared queue lock")
-                .book(started, exec_s);
+                .book(started + self.shared_queue_offset_s, exec_s);
         }
         completed
     }

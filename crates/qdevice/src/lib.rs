@@ -13,7 +13,7 @@
 //!   months on Manhattan) over virtual time ([`clock::SimTime`]);
 //! * a [`noise_model::NoiseModel`] that executes circuits on an exact
 //!   density-matrix engine or Monte-Carlo trajectories;
-//! * a [`compile`] layer that lowers circuit + noise into the flat
+//! * a [`mod@compile`] layer that lowers circuit + noise into the flat
 //!   [`qsim::CompiledProgram`] op-tape the allocation-free engines
 //!   replay, with per-calibration-cycle caching of noise models and
 //!   compiled templates (byte-identical to the uncached path).

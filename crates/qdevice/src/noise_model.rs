@@ -12,9 +12,9 @@
 //!   as an ablation of the simulation method.
 //!
 //! Both are thin compatibility wrappers over the compiled-program engine
-//! layer ([`crate::compile`] + [`qsim::program`]): the circuit and noise
+//! layer ([`mod@crate::compile`] + [`qsim::program`]): the circuit and noise
 //! schedule compile to a flat op-tape once, then an engine replays it.
-//! The pre-engine implementations survive verbatim in [`reference`] as
+//! The pre-engine implementations survive verbatim in [`mod@reference`] as
 //! the bit-equivalence oracle for tests and benchmarks.
 
 use crate::calibration::Calibration;
@@ -264,7 +264,7 @@ where
 /// Compatibility wrapper: compiles the circuit into a
 /// [`qsim::CompiledProgram`] and runs a fresh [`DensityEngine`].
 /// Repeated executions of the same structure should compile once and
-/// hold a long-lived engine instead (see [`crate::compile`] and
+/// hold a long-lived engine instead (see [`mod@crate::compile`] and
 /// [`crate::QpuBackend`]). Byte-identical to
 /// [`reference::execute_density`].
 ///

@@ -656,12 +656,29 @@ impl DeviceQueue {
     /// — exactly the isolated backend's arithmetic when the backlog is
     /// empty. Pair with [`DeviceQueue::book`] once the duration is known.
     pub fn admit(&mut self, submit: SimTime, jitter_uniform: f64) -> SimTime {
-        self.decay_to(submit);
+        self.admit_shifted(submit, 0.0, jitter_uniform)
+    }
+
+    /// [`DeviceQueue::admit`] for a submitter whose local clock starts
+    /// `offset_s` seconds into the ledger's timeline (a tenant arriving
+    /// mid-run). The base queue wait is read at the local `submit`, as
+    /// the submitter's private path would read it; the exogenous
+    /// backlog and the booked horizon are read at the global
+    /// `offset_s + submit`. Returns the global start. A zero offset is
+    /// exactly [`DeviceQueue::admit`].
+    pub fn admit_shifted(
+        &mut self,
+        submit: SimTime,
+        offset_s: f64,
+        jitter_uniform: f64,
+    ) -> SimTime {
+        let global = submit + offset_s;
+        self.decay_to(global);
         let mut wait = self.base.wait_with_jitter_s(submit, jitter_uniform) + self.base.overhead_s;
         if self.backlog_s > 0.0 {
             wait += self.backlog_s;
         }
-        (submit + wait).max(SimTime::from_secs(self.horizon_s))
+        (global + wait).max(SimTime::from_secs(self.horizon_s))
     }
 
     /// Phase two of a booking: records `duration_s` of occupancy from

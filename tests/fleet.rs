@@ -542,3 +542,110 @@ fn fleet_outlives_its_tenant_batches() {
         "devices persist across batches: identical replay"
     );
 }
+
+/// Asserts two reports of the same tenant agree to `1e-9` relative on
+/// the virtual makespan and every trained parameter.
+fn assert_replays(des: &TrainingReport, shared: &TrainingReport) {
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1e-12);
+    assert!(
+        close(des.total_hours, shared.total_hours),
+        "total_hours: des {} vs shared {}",
+        des.total_hours,
+        shared.total_hours
+    );
+    assert_eq!(des.final_params.len(), shared.final_params.len());
+    for (i, (a, b)) in des
+        .final_params
+        .iter()
+        .zip(&shared.final_params)
+        .enumerate()
+    {
+        assert!(close(*a, *b), "final_params[{i}]: des {a} vs shared {b}");
+    }
+}
+
+#[test]
+fn later_shared_tenant_books_on_the_global_ledger_timeline() {
+    // The shared ledgers are one global timeline per device. A tenant
+    // admitted 5 h after its predecessor retired must find every device
+    // idle — its bookings land at arrival offset + local time — and
+    // train exactly as the same tenant on the discrete-event substrate.
+    let problem = QaoaProblem::maxcut_ring4();
+    let run = |fleet_builder: FleetBuilder| {
+        let mut service = fleet_builder.service().expect("builds");
+        service
+            .admit(&problem, TenantConfig::new(cfg(2)))
+            .expect("admits");
+        service.drain().expect("drains");
+        let later = service
+            .admit_at(
+                &problem,
+                TenantConfig::new(cfg(2).with_seed(11)),
+                service.now_h() + 5.0,
+            )
+            .expect("admits");
+        let outcome = service.close().expect("closes");
+        outcome.try_report(later).expect("fresh handle").clone()
+    };
+    assert_replays(&run(builder()), &run(builder().shared()));
+}
+
+#[test]
+fn lone_late_tenant_on_an_idle_shared_service_matches_des() {
+    let problem = QaoaProblem::maxcut_ring4();
+    let run = |fleet_builder: FleetBuilder| {
+        let mut service = fleet_builder.service().expect("builds");
+        let h = service
+            .admit_at(&problem, TenantConfig::new(cfg(2)), 0.5)
+            .expect("admits");
+        let outcome = service.close().expect("closes");
+        outcome.try_report(h).expect("fresh handle").clone()
+    };
+    assert_replays(&run(builder()), &run(builder().shared()));
+}
+
+#[test]
+fn staggered_shared_service_with_a_contention_aware_tenant_replays() {
+    // Mid-run arrivals on the shared substrate drive the grant round's
+    // pick branch (`MasterLoop::pick_client` over the ready set) with
+    // non-zero arrival offsets.
+    let problem = QaoaProblem::maxcut_ring4();
+    let run = || {
+        let mut service = builder()
+            .arbiter(FairShare)
+            .shared()
+            .service()
+            .expect("builds");
+        for (t, arrival_h) in [(0u64, 0.0), (1, 0.3), (2, 0.7)] {
+            let mut tenant = TenantConfig::new(cfg(2).with_seed(7 + t));
+            if t == 1 {
+                tenant = tenant
+                    .policies(PolicyConfig::default().with_scheduler(ContentionAware::default()));
+            }
+            service
+                .admit_at(&problem, tenant, arrival_h)
+                .expect("admits");
+        }
+        service.close().expect("closes")
+    };
+    let a = run();
+    let b = run();
+    assert_eq!(
+        format!("{a:?}"),
+        format!("{b:?}"),
+        "staggered shared service must replay byte for byte"
+    );
+    let t = &a.fleet.telemetry;
+    assert!(
+        t.snapshot_rebuilds > 0,
+        "picks must refresh the view: {t:?}"
+    );
+    assert!(
+        t.snapshot_reuses > 0,
+        "unchanged devices must be reused: {t:?}"
+    );
+    for record in &a.service.tenants {
+        assert_eq!(record.epochs, 2);
+        assert!(record.retired_h > record.arrival_h);
+    }
+}
